@@ -25,8 +25,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backends import get_backend, resolve_backend_name
-
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BENCH_PATH = REPO_ROOT / "BENCH_perf.json"
 
@@ -68,13 +66,6 @@ class PerfRecorder:
         return best_a, best_b
 
     def record(self, name: str, **fields) -> None:
-        # Stamp every entry with the kernel backend that produced it
-        # (``$REPRO_BACKEND`` selects it for the whole suite), so
-        # ``check_bench.py`` can key its floors per backend and the CI
-        # backend-matrix artifacts stay distinguishable after download.
-        backend = get_backend(resolve_backend_name(None))
-        fields.setdefault("backend", backend.name)
-        fields.setdefault("backend_version", backend.version)
         self.entries[name] = fields
 
     def write(self) -> None:

@@ -51,14 +51,10 @@ REQUIRED_ENTRIES = (
 #: vs-interpreted-batch gate is asserted inside the benchmark itself,
 #: where the two batched paths run back to back).
 #:
-#: A value is either one float (applies to every backend) or a mapping
-#: keyed by the entry's recorded ``backend`` field; ``"*"`` is the
-#: fallback for backends without an explicit floor.  Entries recorded
-#: before backends existed default to ``numpy``.  The jacobi240 floor
-#: is the fused-replay promise of the backend tentpole: program fusion
+#: The jacobi240 floor is the fused-replay promise: program fusion
 #: (in-range product-encode-reduce plus chain speculation) must hold a
-#: >= 5x end-to-end win over the legacy engine on at least the NumPy
-#: reference backend at a size where the O(n^2) matvec dominates.
+#: >= 5x end-to-end win over the legacy engine at a size where the
+#: O(n^2) matvec dominates.
 #: The sparse headline carries the PR's tentpole promise: one replayed
 #: CSR-matvec iteration (fused ``csr_matvec_words``) must beat the
 #: dense-gather slow twin by >= 10x on the 100k-node web — measured on
@@ -68,7 +64,7 @@ REQUIRED_ENTRIES = (
 #: the dense resident path is a strict win, not a wash.
 ENTRY_FLOORS = {
     "e2e/replay_jacobi80": 2.0,
-    "e2e/replay_jacobi240": {"numpy": 5.0, "*": 5.0},
+    "e2e/replay_jacobi240": 5.0,
     "batched/replay_jacobi_b64": 7.0,
     "batched/replay_gs_rb32": 4.0,
     "batched/replay_gmm_b16": 1.6,
@@ -77,14 +73,9 @@ ENTRY_FLOORS = {
 }
 
 
-def floor_for(name: str, backend: str, min_speedup: float) -> float:
-    """The gate floor for one entry as measured on one backend."""
-    raw = ENTRY_FLOORS.get(name)
-    if isinstance(raw, dict):
-        raw = raw.get(backend, raw.get("*"))
-    if raw is None:
-        return min_speedup
-    return max(float(raw), min_speedup)
+def floor_for(name: str, min_speedup: float) -> float:
+    """The gate floor for one entry."""
+    return max(ENTRY_FLOORS.get(name, min_speedup), min_speedup)
 
 
 def check(path: Path, min_speedup: float) -> int:
@@ -105,18 +96,15 @@ def check(path: Path, min_speedup: float) -> int:
     for name in sorted(benchmarks):
         entry = benchmarks[name]
         speedup = entry.get("speedup")
-        backend = entry.get("backend", "numpy")
         if speedup is None:
             failures.append(f"{name}: entry has no 'speedup' field")
             continue
-        floor = floor_for(name, backend, min_speedup)
+        floor = floor_for(name, min_speedup)
         marker = "ok " if speedup >= floor else "REG"
         suffix = f" (floor {floor}x)" if name in ENTRY_FLOORS else ""
-        print(f"  {marker} {name} [{backend}]: {speedup}x{suffix}")
+        print(f"  {marker} {name}: {speedup}x{suffix}")
         if speedup < floor:
-            failures.append(
-                f"{name} [{backend}]: speedup {speedup} < floor {floor}"
-            )
+            failures.append(f"{name}: speedup {speedup} < floor {floor}")
 
     if failures:
         print(f"\n{len(failures)} failure(s) (missing or below the {min_speedup}x floor):")

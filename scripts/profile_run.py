@@ -5,7 +5,7 @@ Usage::
     PYTHONPATH=src python scripts/profile_run.py \
         [--solver jacobi] [--n 80] [--strategy incremental] \
         [--max-iter 150] [--repeats 3] [--top 20] [--out profile.pstats] \
-        [--no-capture] [--batch-size 0] [--backend numpy] [--sparse]
+        [--no-capture] [--batch-size 0] [--sparse]
 
 With ``--batch-size B`` (B >= 1) the profiled region is one
 ``run_batch`` call advancing B identical lanes lock-step — the region
@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.apps import GaussianMixtureEM
 from repro.apps.pagerank import PageRank
-from repro.backends import resolve_backend_name
 from repro.core.framework import ApproxIt
 from repro.solvers import (
     ConjugateGradient,
@@ -51,21 +50,17 @@ def _laplacian(n: int) -> tuple[np.ndarray, np.ndarray]:
     return matrix, rhs
 
 
-def build_sparse_framework(
-    n: int, max_iter: int, backend: str | None = None
-) -> ApproxIt:
+def build_sparse_framework(n: int, max_iter: int) -> ApproxIt:
     """The sparse flagship: PageRank over a synthetic n-node web whose
     CSR transition matrix rides the sparse resident-operand datapath
     (the region the ``sparse/replay_pagerank100k`` benchmark gates)."""
     app = PageRank.random_web_csr(
         n_nodes=n, seed=11, out_degree=8.0, max_iter=max_iter, tolerance=1e-300
     )
-    return ApproxIt(app, backend=backend)
+    return ApproxIt(app)
 
 
-def build_framework(
-    solver: str, n: int, max_iter: int, backend: str | None = None
-) -> ApproxIt:
+def build_framework(solver: str, n: int, max_iter: int) -> ApproxIt:
     if solver in (
         "jacobi",
         "gauss-seidel",
@@ -81,10 +76,7 @@ def build_framework(
             "gauss-seidel-rb": RedBlackGaussSeidelSolver,
             "sor-rb": RedBlackSorSolver,
         }[solver]
-        return ApproxIt(
-            cls(matrix, rhs, max_iter=max_iter, tolerance=1e-9),
-            backend=backend,
-        )
+        return ApproxIt(cls(matrix, rhs, max_iter=max_iter, tolerance=1e-9))
     if solver == "gmm":
         rng = np.random.default_rng(31)
         points = np.concatenate(
@@ -96,8 +88,7 @@ def build_framework(
         return ApproxIt(
             GaussianMixtureEM(
                 points, n_clusters=3, max_iter=max_iter, tolerance=1e-300
-            ),
-            backend=backend,
+            )
         )
     if solver == "cg":
         rng = np.random.default_rng(5)
@@ -105,8 +96,7 @@ def build_framework(
         matrix = matrix @ matrix.T + 2.0 * np.eye(n)
         rhs = rng.uniform(-3.0, 3.0, n)
         return ApproxIt(
-            ConjugateGradient(matrix, rhs, max_iter=max_iter, tolerance=1e-300),
-            backend=backend,
+            ConjugateGradient(matrix, rhs, max_iter=max_iter, tolerance=1e-300)
         )
     if solver == "lsq":
         rng = np.random.default_rng(21)
@@ -120,8 +110,7 @@ def build_framework(
                 learning_rate=0.02,
                 max_iter=max_iter,
                 tolerance=1e-300,
-            ),
-            backend=backend,
+            )
         )
     raise SystemExit(f"unknown solver {solver!r}")
 
@@ -144,11 +133,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--n", type=int, default=80, help="problem size")
     parser.add_argument("--strategy", default="incremental")
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="kernel backend to profile (default: $REPRO_BACKEND or numpy)",
-    )
     parser.add_argument("--max-iter", type=int, default=150)
     parser.add_argument(
         "--repeats", type=int, default=3, help="profiled run count"
@@ -176,20 +160,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    backend = resolve_backend_name(args.backend)
     if args.sparse:
         if args.batch_size > 0:
             raise SystemExit(
                 "--sparse profiles the solo sparse loop; it cannot be "
                 "combined with --batch-size"
             )
-        framework = build_sparse_framework(
-            args.n, args.max_iter, backend=backend
-        )
+        framework = build_sparse_framework(args.n, args.max_iter)
     else:
-        framework = build_framework(
-            args.solver, args.n, args.max_iter, backend=backend
-        )
+        framework = build_framework(args.solver, args.n, args.max_iter)
     framework.characterization()
     capture = not args.no_capture
 
@@ -217,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     workload = "pagerank-csr" if args.sparse else args.solver
     print(
         f"{workload} n={args.n} strategy={args.strategy} "
-        f"backend={backend} {region} "
+        f"{region} "
         f"capture={'on' if capture else 'off'}: {run.iterations} iterations, "
         f"{run.rollbacks} rollbacks, energy {run.energy:.3g}"
     )
@@ -231,16 +210,13 @@ def main(argv: list[str] | None = None) -> int:
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats("cumulative").print_stats(args.top)
     if args.out:
-        # Label the artifact with the backend (and the sparse workload)
-        # that produced it so the CI upload distinguishes per-backend
-        # and sparse/dense dumps side by side.
+        # Label a sparse-workload artifact so the CI upload keeps the
+        # sparse and dense dumps apart.
         out = Path(args.out)
         if args.sparse and "sparse" not in out.stem:
             out = out.with_name(f"{out.stem}.sparse{out.suffix}")
-        if backend not in out.stem:
-            out = out.with_name(f"{out.stem}.{backend}{out.suffix}")
         stats.dump_stats(out)
-        print(f"profile [{backend}] written to {out}")
+        print(f"profile written to {out}")
     return 0
 
 

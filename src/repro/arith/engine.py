@@ -65,7 +65,7 @@ except ImportError:  # pragma: no cover - exercised only without scipy
 
 from repro.arith.fixed import FixedPointFormat
 from repro.arith.modes import ApproxMode
-from repro.backends import KernelBackend, resolve_backend
+from repro.backends import KERNELS
 from repro.hardware import bitops
 
 
@@ -598,7 +598,6 @@ class ApproxEngine:
         ledger: EnergyLedger | None = None,
         approximate_multiplier: bool = False,
         fast_path: bool | None = None,
-        backend: "str | KernelBackend | None" = None,
     ):
         if mode.adder.width != fmt.width:
             raise ValueError(
@@ -606,7 +605,7 @@ class ApproxEngine:
             )
         self.mode = mode
         self.fmt = fmt
-        self.backend = resolve_backend(backend)
+        self.backend = KERNELS
         self.ledger = ledger if ledger is not None else EnergyLedger()
         self.approximate_multiplier = bool(approximate_multiplier)
         self.fast_path = (
@@ -1456,7 +1455,6 @@ class BatchedEngine:
         ledger: BatchedEnergyLedger | None = None,
         lanes: int | None = None,
         fast_path: bool | None = None,
-        backend: "str | KernelBackend | None" = None,
     ):
         if mode.adder.width != fmt.width:
             raise ValueError(
@@ -1464,7 +1462,7 @@ class BatchedEngine:
             )
         self.mode = mode
         self.fmt = fmt
-        self.backend = resolve_backend(backend)
+        self.backend = KERNELS
         if ledger is None:
             ledger = BatchedEnergyLedger(lanes if lanes is not None else 1)
         self.ledger = ledger

@@ -735,7 +735,7 @@ def _fused_product_ok(engine, step, abs_max, varying, n) -> bool:
     associative and hence bit-identical to the reference clip + tree.
     ``n * W < 2**53`` additionally keeps every partial sum (under any
     association) in float64's integer-exact range, licensing the
-    backend to fold the integer-valued *float* buffer directly —
+    kernel to fold the integer-valued *float* buffer directly —
     automatic for word widths up to 53 bits, checked so wider formats
     fall back rather than round.
     Any failure — including a non-finite ``varying``, where the
@@ -852,7 +852,7 @@ class _SparseMatvecStep:
     The fused route specializes the dense in-range proof to the per-row
     nnz bound: with ``W`` bounding every encoded product word,
     ``nnz_max * W <= hi`` and ``nnz_max * W < 2**53`` bound every
-    partial sum of every row's segment, licensing the backend's
+    partial sum of every row's segment, licensing the fused
     single-pass :meth:`~repro.backends.base.KernelBackend.csr_matvec_words`.
     Otherwise each nnz-length bucket's ``(L, g)`` slab replays through
     :func:`_replay_reduce` with the recorded aggregate saturation flag.
@@ -947,20 +947,15 @@ class _ChainTail:
 class _Chain:
     """One dataflow chain: a head op plus the tail ops it feeds.
 
-    ``fused`` is the backend's optional compiled form (see
-    :meth:`~repro.backends.base.KernelBackend.compile_chain`): a
-    callable ``fn(engine, results) -> [(tail_index, pred_args, out),
-    ...]`` replacing the generic stepwise speculation.  ``None`` runs
-    the tails through their compiled steps one by one — still a single
-    Python dispatch entry for the whole chain.
+    At replay the tails run through their compiled steps one by one,
+    all inside a single Python dispatch entry for the whole chain.
     """
 
-    __slots__ = ("root", "tails", "fused")
+    __slots__ = ("root", "tails")
 
     def __init__(self, root):
         self.root = root
         self.tails: list[int] = []
-        self.fused = None
 
 
 _PREDICTABLE = (
@@ -972,7 +967,7 @@ _PREDICTABLE = (
 )
 
 
-def _link_chains(ops, steps, backend):
+def _link_chains(ops):
     """Link recorded ops into dataflow chains by output identity.
 
     An op whose args are all either (a) ``is``-identical to an earlier
@@ -1014,10 +1009,6 @@ def _link_chains(ops, steps, backend):
             roots[i] = root
         if isinstance(op.out, _PREDICTABLE):
             out_index[id(op.out)] = i
-    for chain in chains.values():
-        chain.fused = backend.compile_chain(
-            tuple(steps[t] for t in (chain.root, *chain.tails))
-        )
     return chains, tails
 
 
@@ -1036,12 +1027,6 @@ def _speculate_chain(engine, executor, program, chain):
     results = executor.results
     memo = executor.memo
     try:
-        if chain.fused is not None:
-            served = chain.fused(engine, results)
-            if served is not None:
-                for t, pred_args, out in served:
-                    memo[t] = (pred_args, out)
-                return
         for t in chain.tails:
             tail = program.tails[t]
             args = []
@@ -1191,7 +1176,7 @@ class ProgramRecorder:
     def finalize(self, engine, slots) -> IterationProgram:
         """Compile the recorded ops against the end-of-iteration slots."""
         steps = tuple(_COMPILERS[op.kind](engine, op, slots) for op in self.ops)
-        chains, tails = _link_chains(self.ops, steps, engine.backend)
+        chains, tails = _link_chains(self.ops)
         return IterationProgram(steps, chains, tails)
 
 
@@ -1886,7 +1871,7 @@ class _BSparseMatvecStep:
     :class:`_SparseMatvecStep`.  The lane-count-dependent slab plans
     are fetched per replay (the active lane group shrinks as lanes
     finish), sharing the engine's dense plan cache; the fused route
-    runs the backend CSR kernel over the whole stack at once.
+    runs the fused CSR kernel over the whole stack at once.
     """
 
     __slots__ = (
@@ -2013,7 +1998,7 @@ def _finalize_batched(recorder, engine, slots, lanes) -> IterationProgram:
     steps = tuple(
         _B_COMPILERS[op.kind](engine, op, slots, lanes) for op in recorder.ops
     )
-    chains, tails = _link_chains(recorder.ops, steps, engine.backend)
+    chains, tails = _link_chains(recorder.ops)
     return IterationProgram(steps, chains, tails)
 
 

@@ -1,39 +1,7 @@
-"""Pluggable kernel backends (see :mod:`repro.backends.base`).
-
-Importing this package registers the always-available NumPy reference
-backend and, when Numba is installed, the optional JIT backend.
-"""
+"""The engine's elementary kernels (see :mod:`repro.backends.base`)."""
 
 from __future__ import annotations
 
-from repro.backends.base import (
-    BACKEND_ENV,
-    DEFAULT_BACKEND,
-    KernelBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    resolve_backend_name,
-)
-from repro.backends import numpy_backend
+from repro.backends.base import KERNELS, KernelBackend, resolve_backend_name
 
-register_backend(numpy_backend.build())
-
-try:
-    from repro.backends import numba_backend
-
-    register_backend(numba_backend.build())
-except ImportError:  # numba not installed: the registry simply omits it
-    pass
-
-__all__ = [
-    "BACKEND_ENV",
-    "DEFAULT_BACKEND",
-    "KernelBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "resolve_backend_name",
-]
+__all__ = ["KERNELS", "KernelBackend", "resolve_backend_name"]

@@ -1,32 +1,16 @@
-"""Kernel backend protocol and registry.
+"""The engine's elementary kernels.
 
-A :class:`KernelBackend` is the pluggable execution substrate behind
-the engine's kernel interface: every elementary operation the datapath
-performs — adder dispatch, fixed-point encode/decode, and the fused
-in-range kernels the program-replay fast paths are built on — routes
-through the engine's backend object.  The NumPy reference backend
-(:mod:`repro.backends.numpy_backend`) is today's code refactored behind
-the interface with zero behavior change; alternative backends (the
-optional Numba backend, :mod:`repro.backends.numba_backend`) may swap
-in specialized kernels as long as they stay **bit-identical** to the
-reference — the bit-serial ``adders.reference`` suite is the
-cross-backend oracle (``tests/hardware/test_backend_equivalence.py``).
-
-Selection precedence (resolved once at engine construction):
-
-1. an explicit backend (``ApproxIt(backend=...)`` / CLI ``--backend``);
-2. the ``$REPRO_BACKEND`` environment variable;
-3. the ``"numpy"`` reference backend.
-
-The resolved backend's :attr:`~KernelBackend.name` rides in the solver
-service's content-address key (see
-:meth:`repro.service.requests.SolveRequest.payload`), so cached runs
-stay bit-identical per backend.
+A :class:`KernelBackend` holds every elementary operation the
+approximate datapath performs below the engine: adder dispatch and the
+fused in-range kernels the program-replay fast paths are built on.
+Every engine dispatches through the one shared instance,
+:data:`KERNELS`.  The kernels are plain NumPy (plus one SciPy
+segment-sum); the bit-serial ``adders.reference`` suite and the fused
+kernels' reference compositions are their oracles
+(``tests/hardware/test_backend_equivalence.py``).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -36,69 +20,33 @@ try:  # SciPy is a declared dependency, but the kernels keep a pure-
 except ImportError:  # pragma: no cover - exercised only without scipy
     _scipy_sparse = None
 
-#: Environment variable consulted when no backend is named explicitly.
-BACKEND_ENV = "REPRO_BACKEND"
-
-#: The always-available reference backend.
-DEFAULT_BACKEND = "numpy"
-
 
 class KernelBackend:
     """Execution substrate for the engine's elementary kernels.
 
-    The base class *is* the NumPy reference semantics: every method's
-    default implementation delegates to the adder model / fixed-point
-    format exactly as the pre-backend engine did, so a subclass only
-    overrides the kernels it specializes and inherits reference
-    behavior (and hence bit-exactness) everywhere else.
-
     Two method groups:
 
-    * **primitive dispatch** (:meth:`add_signed`, :meth:`add_unsigned`,
-      :meth:`encode`, :meth:`decode`) — always-correct entry points the
-      interpreted path calls for every operation;
+    * **adder dispatch** (:meth:`add_signed`) — the always-correct
+      entry point the interpreted path calls for every addition;
     * **fused in-range kernels** (:meth:`add_words_inrange`,
       :meth:`sub_words_inrange`, :meth:`reduce_inrange`,
-      :meth:`product_reduce_words`) — called only by program replay
+      :meth:`product_reduce_words`, :meth:`csr_matvec_words`,
+      :meth:`scale_encode_inrange`) — called only by program replay
       *after* the caller has proved the operation cannot leave the
       representable range (exact adder, saturating format, interval
       proof), where the masked/clipped reference computation provably
-      collapses to plain integer arithmetic.  Implementations must be
-      bit-identical to the reference under those preconditions.
-
-    Attributes:
-        name: registry key (also the value carried in content-address
-            keys and ``BENCH_perf.json`` entries).
-        version: substrate version string for provenance (e.g. the
-            NumPy or Numba release).
+      collapses to plain integer arithmetic.  Each is bit-identical to
+      the reference under those preconditions.
     """
 
-    name: str = "abstract"
-    version: str = "0"
-
     # ------------------------------------------------------------------
-    # Primitive dispatch
+    # Adder dispatch
     # ------------------------------------------------------------------
     def add_signed(self, adder, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
         """One elementary addition through ``adder`` (two's-complement,
         wraparound overflow) — the single adder entry point of
         :meth:`repro.arith.engine.ApproxEngine._add_words`."""
         return adder.add_signed(qa, qb)
-
-    def add_unsigned(self, adder, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-        """Unsigned ``width``-bit addition through ``adder`` (the
-        surface the bit-serial equivalence oracle exercises)."""
-        return adder.add_unsigned(ua, ub)
-
-    def encode(
-        self, fmt, values: np.ndarray, *, assume_finite: bool = False
-    ) -> np.ndarray:
-        """Quantize floats to fixed-point words (``int64``)."""
-        return fmt.encode(values, assume_finite=assume_finite)
-
-    def decode(self, fmt, words: np.ndarray) -> np.ndarray:
-        """Fixed-point words back to floats."""
-        return fmt.decode(words)
 
     # ------------------------------------------------------------------
     # Fused in-range kernels (caller supplies the range proof)
@@ -269,91 +217,16 @@ class KernelBackend:
         np.copyto(qbuf, fbuf, casting="unsafe")
         return qbuf
 
-    # ------------------------------------------------------------------
-    # Chain compilation hook
-    # ------------------------------------------------------------------
-    def compile_chain(self, steps) -> object | None:
-        """Optionally fuse a dataflow chain of compiled steps into one
-        backend-specific callable ``fn(engine, head_args) -> [outputs]``.
 
-        ``None`` (the default) makes the replay executor run the chain
-        step-by-step through the generic speculative harness — still
-        one Python entry per chain head, with tail dispatches served
-        from memoized results.  A backend may return a fused callable
-        for patterns it recognizes; it must be bit-identical to the
-        stepwise execution.
-        """
-        return None
-
-    def describe(self) -> str:
-        """One-line human-readable description."""
-        return f"{self.name} ({self.version})"
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r}, version={self.version!r})"
+#: The one kernel set every engine dispatches through.
+KERNELS = KernelBackend()
 
 
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_BACKENDS: dict[str, KernelBackend] = {}
+def resolve_backend_name() -> str:
+    """Name of the kernel set every engine runs.
 
-
-def register_backend(backend: KernelBackend, *, replace: bool = False) -> KernelBackend:
-    """Register a backend instance under its :attr:`~KernelBackend.name`.
-
-    Raises:
-        ValueError: on a duplicate name unless ``replace=True``.
+    There is one, the NumPy kernels of :class:`KernelBackend`, so this
+    is always ``"numpy"``; benchmark records carry it to say which
+    kernels produced a measurement.
     """
-    name = backend.name
-    if not name or name == "abstract":
-        raise ValueError(f"backend needs a concrete name, got {name!r}")
-    if name in _BACKENDS and not replace:
-        raise ValueError(f"backend {name!r} is already registered")
-    _BACKENDS[name] = backend
-    return backend
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of every registered backend, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend(name: str) -> KernelBackend:
-    """The registered backend named ``name``.
-
-    Raises:
-        ValueError: for an unknown name (lists what *is* available, so
-            a typo or a missing optional dependency fails loudly).
-    """
-    backend = _BACKENDS.get(name)
-    if backend is None:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; available: "
-            f"{list(available_backends())}"
-        )
-    return backend
-
-
-def resolve_backend_name(spec: "str | KernelBackend | None" = None) -> str:
-    """The effective backend name for ``spec``.
-
-    Precedence: explicit ``spec`` > ``$REPRO_BACKEND`` >
-    :data:`DEFAULT_BACKEND`.  The name is validated against the
-    registry, so an env var naming an unavailable backend fails loudly
-    instead of silently running the default.
-    """
-    if isinstance(spec, KernelBackend):
-        return get_backend(spec.name).name if spec.name in _BACKENDS else spec.name
-    name = spec if spec is not None else os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
-    return get_backend(name).name
-
-
-def resolve_backend(spec: "str | KernelBackend | None" = None) -> KernelBackend:
-    """Resolve ``spec`` to a backend instance (see
-    :func:`resolve_backend_name` for the precedence)."""
-    if isinstance(spec, KernelBackend):
-        return spec
-    if spec is None:
-        spec = os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
-    return get_backend(spec)
+    return "numpy"

@@ -41,7 +41,6 @@ from repro.arith.engine import (
 from repro.arith.fixed import FixedPointFormat
 from repro.arith.modes import ModeBank, default_mode_bank
 from repro.arith.program import BatchedProgramEngine, ProgramEngine
-from repro.backends import resolve_backend
 from repro.core.characterize import (
     CharacterizationCache,
     CharacterizationTable,
@@ -164,10 +163,6 @@ class ApproxIt:
             fresh tables are stored back.  Cached tables round-trip
             through plain data bit-exactly, so runs are identical with
             and without the cache.
-        backend: kernel backend name (or instance) for every engine the
-            framework builds; ``None`` resolves ``$REPRO_BACKEND`` and
-            falls back to the NumPy reference backend (see
-            :mod:`repro.backends`).
 
     Example:
         >>> framework = ApproxIt(method)                   # doctest: +SKIP
@@ -192,12 +187,10 @@ class ApproxIt:
         probe_iterations: int = DEFAULT_PROBES,
         switch_energy: float = 0.0,
         char_cache: CharacterizationCache | None = None,
-        backend: str | None = None,
     ):
         if switch_energy < 0:
             raise ValueError(f"switch_energy must be >= 0, got {switch_energy}")
         self.switch_energy = float(switch_energy)
-        self.backend = resolve_backend(backend)
         self.method = method
         self.bank = bank if bank is not None else default_mode_bank()
         if fmt is None:
@@ -321,7 +314,7 @@ class ApproxIt:
         if observer is not None:
             ledger.observer = observer
         engines = {
-            mode.name: engine_cls(mode, self.fmt, ledger, backend=self.backend)
+            mode.name: engine_cls(mode, self.fmt, ledger)
             for mode in self.bank
         }
 
@@ -717,7 +710,7 @@ class ApproxIt:
         engine_cls = BatchedProgramEngine if capture else BatchedEngine
         ledger = BatchedEnergyLedger(lanes, observer=observer)
         engines = {
-            mode.name: engine_cls(mode, self.fmt, ledger, backend=self.backend)
+            mode.name: engine_cls(mode, self.fmt, ledger)
             for mode in self.bank
         }
         lane_observers: list[Observer | None] = [None] * lanes

@@ -145,10 +145,9 @@ def cells_from_runs(
     """Assemble one instance's sweep cells from already-executed runs.
 
     This is the shared assembly step of :func:`sweep`, split out so
-    callers that obtained the runs elsewhere — the service layer runs
-    each (instance, strategy) as its own content-addressed job and
-    rebuilds the sweep view from stored results — render identically to
-    an in-process sweep.
+    callers that obtained the runs elsewhere (e.g. loaded with
+    :func:`repro.core.reporting.load_run`) render identically to an
+    in-process sweep.
 
     Args:
         instance: instance label for the cells.

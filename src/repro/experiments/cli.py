@@ -1,8 +1,10 @@
 """``approxit`` command-line interface.
 
-Regenerate any table or figure of the paper from the shell::
+One verb per artifact; each prints a plain-text report (``--out PATH``
+writes it to a file instead).  The paper's tables and figures::
 
     approxit suite       # Tables 1 and 2
+    approxit figure1     # framework block diagram
     approxit table3      # Table 3(a) + 3(b)
     approxit table4      # Table 4(a) + 4(b)
     approxit figure2     # manifold-angle trace
@@ -14,40 +16,22 @@ Beyond the paper's artifacts::
 
     approxit characterize --dataset 3cluster   # offline mode impacts
     approxit resilience --dataset 3cluster     # §3.1 block analysis
+    approxit run --dataset sp500 --strategy adaptive --save run.json
+    approxit motivation | extensions
 
-``--out PATH`` writes the report to a file instead of stdout.
 ``--parallel N`` prewarms the experiment matrix over ``N`` worker
 processes (``0`` = all cores) before rendering table3/table4/figure4/all;
 ``--batch-size B`` additionally groups up to ``B`` compatible cells per
 dataset into one lane-parallel ``run_batch`` shard per worker (results
-stay bit-identical — see ``docs/performance.md``).
-``--trace DIR`` exports JSONL run traces (see ``docs/observability.md``)
-for the ``run`` artifact and for every cell of a ``--parallel`` prewarm.
+stay bit-identical — see ``docs/performance.md``).  ``--trace DIR``
+exports JSONL run traces (see ``docs/observability.md``) for the
+``run`` artifact and for every cell of a ``--parallel`` prewarm.
 
 Offline characterization is cached on disk by default (content
 addressed, so stale entries are impossible — see
 ``docs/performance.md``).  The directory resolves as ``--cache-dir`` >
 ``$REPRO_CHAR_CACHE`` > ``~/.cache/approxit/characterization``;
 ``--no-cache`` disables the cache entirely.
-
-The solver also runs as a long-lived service (see ``docs/service.md``)::
-
-    approxit serve --port 8080                 # start the job server
-    approxit submit --dataset 3cluster         # submit + wait + print
-    approxit submit --sweep incremental,adaptive --dataset hangseng
-
-``serve`` keeps a persistent run store (``--store-dir`` >
-``$REPRO_RUN_STORE`` > ``~/.cache/approxit/service``): resubmitting an
-identical request is served from disk with zero solver iterations.
-``submit`` talks to a running server over HTTP (``--url``), waits for
-completion and prints the result (``--json`` for machine-readable
-output, e.g. in CI).  ``approxit store gc --max-bytes N --max-age 30d``
-prunes the oldest completed runs and their traces from that store
-(failure checkpoints are kept).
-
-``--backend NAME`` selects the kernel backend (NumPy reference, or the
-Numba JIT backend when installed) for whatever the command runs, and is
-carried on submitted service requests — see ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -78,28 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "extensions",
             "motivation",
             "run",
-            "serve",
-            "submit",
-            "store",
         ],
-        help="which artifact to regenerate (or service verb: "
-        "serve/submit/store)",
-    )
-    parser.add_argument(
-        "verb",
-        nargs="?",
-        default=None,
-        help="sub-verb for the store artifact (currently: gc)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="kernel backend for every engine this command builds "
-        "(numpy reference, or numba when installed); also exported as "
-        "$REPRO_BACKEND so --parallel workers inherit it, and carried "
-        "on submitted service requests (default: $REPRO_BACKEND or "
-        "numpy)",
+        help="which artifact to regenerate",
     )
     parser.add_argument(
         "--dataset",
@@ -159,91 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--out", default=None, help="write the report to this file instead of stdout"
     )
-    service = parser.add_argument_group("service (serve/submit)")
-    service.add_argument(
-        "--host", default="127.0.0.1", help="serve: bind address"
-    )
-    service.add_argument(
-        "--port", type=int, default=8080, help="serve: bind port (0 = ephemeral)"
-    )
-    service.add_argument(
-        "--store-dir",
-        default=None,
-        metavar="DIR",
-        help="serve: run-store directory (default: $REPRO_RUN_STORE or "
-        "~/.cache/approxit/service)",
-    )
-    service.add_argument(
-        "--url",
-        default="http://127.0.0.1:8080",
-        help="submit: server base URL",
-    )
-    service.add_argument(
-        "--tenant", default="default", help="submit: tenant identifier"
-    )
-    service.add_argument(
-        "--max-iter",
-        type=int,
-        default=None,
-        metavar="N",
-        help="submit: iteration-budget override",
-    )
-    service.add_argument(
-        "--sweep",
-        default=None,
-        metavar="SPECS",
-        help="submit: comma-separated strategy specs — submit a sweep "
-        "(Truth implicit) instead of a single solve",
-    )
-    service.add_argument(
-        "--timeout",
-        type=float,
-        default=300.0,
-        metavar="SECS",
-        help="submit: give up waiting after this long (default: 300)",
-    )
-    service.add_argument(
-        "--json",
-        action="store_true",
-        help="submit: print the raw job/sweep JSON instead of a summary",
-    )
-    store = parser.add_argument_group("store (store gc)")
-    store.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="store gc: evict oldest completed runs (and their traces) "
-        "until runs/ + traces/ fit in N bytes; failures are kept",
-    )
-    store.add_argument(
-        "--max-age",
-        default=None,
-        metavar="AGE",
-        help="store gc: additionally evict entries older than AGE — "
-        "seconds, or with an s/m/h/d suffix (e.g. 30d)",
-    )
     return parser
-
-
-#: Seconds per --max-age suffix unit.
-_AGE_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
-
-
-def parse_age(text: str) -> float:
-    """``"90"``/``"90s"``/``"15m"``/``"6h"``/``"30d"`` -> seconds."""
-    text = text.strip().lower()
-    unit = 1.0
-    if text and text[-1] in _AGE_UNITS:
-        unit = _AGE_UNITS[text[-1]]
-        text = text[:-1]
-    try:
-        seconds = float(text) * unit
-    except ValueError:
-        raise ValueError(f"invalid --max-age {text!r}") from None
-    if seconds < 0:
-        raise ValueError(f"--max-age must be >= 0, got {seconds}")
-    return seconds
 
 
 def resolve_cache_dir(
@@ -264,187 +144,6 @@ def resolve_cache_dir(
     return os.path.join(
         os.path.expanduser("~"), ".cache", "approxit", "characterization"
     )
-
-
-def resolve_store_dir(store_dir: str | None = None) -> str:
-    """The run-store directory ``approxit serve`` should use.
-
-    Resolution order: ``--store-dir`` > ``$REPRO_RUN_STORE`` > the user
-    cache directory.
-    """
-    if store_dir:
-        return store_dir
-    env = os.environ.get("REPRO_RUN_STORE")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "approxit", "service")
-
-
-def _serve(args) -> int:
-    """Run the solver service until interrupted."""
-    import asyncio
-
-    from repro.service import JobQueue, RunStore, ServiceServer
-
-    store_dir = resolve_store_dir(args.store_dir)
-    queue = JobQueue(
-        RunStore(store_dir),
-        max_workers=(args.parallel or None) if args.parallel != 0 else None,
-        batch_size=args.batch_size,
-        cache_dir=resolve_cache_dir(args.cache_dir, args.no_cache),
-    )
-    server = ServiceServer(queue, host=args.host, port=args.port)
-
-    async def run() -> None:
-        await server.start()
-        print(
-            f"approxit service on {server.url} (store: {store_dir})",
-            flush=True,
-        )
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await server.close()
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _store(args) -> int:
-    """Run-store maintenance verbs (currently ``gc``)."""
-    if args.verb != "gc":
-        sys.stderr.write(
-            f"unknown store verb {args.verb!r}; supported: gc\n"
-        )
-        return 2
-    from repro.service import RunStore
-
-    if args.max_bytes is None and args.max_age is None:
-        sys.stderr.write("store gc needs --max-bytes and/or --max-age\n")
-        return 2
-    try:
-        max_age_s = None if args.max_age is None else parse_age(args.max_age)
-    except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 2
-    store_dir = resolve_store_dir(args.store_dir)
-    summary = RunStore(store_dir).gc(
-        max_bytes=args.max_bytes, max_age_s=max_age_s
-    )
-    print(
-        f"store gc ({store_dir}): evicted {summary['evicted_runs']} runs, "
-        f"{summary['evicted_traces']} traces "
-        f"({summary['freed_bytes']} bytes freed); "
-        f"{summary['kept_runs']} runs kept ({summary['kept_bytes']} bytes)"
-    )
-    return 0
-
-
-def _http_json(method: str, url: str, body: dict | None = None, timeout: float = 60.0):
-    """One JSON request to a running service; returns (status, payload)."""
-    import json
-    import urllib.error
-    import urllib.request
-
-    data = None if body is None else json.dumps(body).encode()
-    request = urllib.request.Request(
-        url, data=data, method=method, headers={"Content-Type": "application/json"}
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
-
-
-def _submit(args) -> int:
-    """Submit one solve (or sweep) to a running server and wait."""
-    import urllib.error
-
-    try:
-        return _submit_inner(args)
-    except urllib.error.URLError as exc:
-        sys.stderr.write(f"cannot reach server at {args.url}: {exc.reason}\n")
-        return 1
-
-
-def _submit_inner(args) -> int:
-    import json
-    import time
-
-    url = args.url.rstrip("/")
-    deadline = time.monotonic() + args.timeout
-    if args.sweep:
-        body = {
-            "dataset": args.dataset,
-            "strategies": [s.strip() for s in args.sweep.split(",") if s.strip()],
-            "tenant": args.tenant,
-            "max_iter": args.max_iter,
-            "backend": args.backend,
-        }
-        status, payload = _http_json("POST", f"{url}/sweeps", body)
-        if status not in (200, 202):
-            sys.stderr.write(f"submit failed ({status}): {payload.get('error')}\n")
-            return 1
-        while payload["state"] not in ("done", "failed"):
-            if time.monotonic() > deadline:
-                sys.stderr.write(f"timed out waiting for {payload['id']}\n")
-                return 1
-            time.sleep(0.2)
-            status, payload = _http_json("GET", f"{url}/sweeps/{payload['id']}")
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        elif payload["state"] == "done":
-            print(payload["table"])
-        if payload["state"] == "failed":
-            for label, job in payload["jobs"].items():
-                if job["error"]:
-                    sys.stderr.write(f"lane {label} failed: {job['error']}\n")
-            return 1
-        return 0
-
-    body = {
-        "dataset": args.dataset,
-        "strategy": args.strategy,
-        "tenant": args.tenant,
-        "max_iter": args.max_iter,
-        "backend": args.backend,
-    }
-    status, payload = _http_json("POST", f"{url}/jobs", body)
-    if status not in (200, 202):
-        sys.stderr.write(f"submit failed ({status}): {payload.get('error')}\n")
-        return 1
-    while payload["state"] not in ("done", "failed"):
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            sys.stderr.write(f"timed out waiting for {payload['id']}\n")
-            return 1
-        status, payload = _http_json(
-            "GET",
-            f"{url}/jobs/{payload['id']}?wait={min(remaining, 30):.0f}",
-            timeout=min(remaining, 30) + 30,
-        )
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    elif payload["state"] == "done":
-        result = payload["result"]
-        source = "run store (cached)" if payload["cached"] else "fresh computation"
-        print(
-            f"{payload['id']}: {args.dataset} / {result['strategy']} — "
-            f"{'converged' if result['converged'] else 'NOT converged'} in "
-            f"{result['iterations']} iterations, objective "
-            f"{result['objective']:.6g}, energy {result['energy']:.6g} "
-            f"[{source}, {payload['executed_iterations']} iterations executed]"
-        )
-    if payload["state"] == "failed":
-        sys.stderr.write(f"{payload['id']} failed: {payload['error']}\n")
-        return 1
-    return 0
 
 
 #: Artifacts whose underlying experiment matrix can be prewarmed in
@@ -562,9 +261,9 @@ def _build_method(dataset_key: str):
 
 def _characterization_report(dataset_key: str) -> str:
     from repro.experiments.render import format_number, format_table
-    from repro.experiments.runner import _build_framework
+    from repro.experiments.runner import build_framework
 
-    framework, _ = _build_framework(dataset_key)
+    framework, _ = build_framework(dataset_key)
     table = framework.characterization()
     rows = [
         [
@@ -624,9 +323,9 @@ def _run_report(
 
     from repro.core.reporting import comparison_report, save_run
     from repro.obs import TraceRecorder, render_trace
-    from repro.experiments.runner import _build_framework
+    from repro.experiments.runner import build_framework
 
-    framework, _ = _build_framework(dataset_key)
+    framework, _ = build_framework(dataset_key)
     recorder = None
     if trace_dir is not None:
         recorder = TraceRecorder(label=f"{dataset_key}:{strategy}")
@@ -657,16 +356,6 @@ def _run_report(
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.backend:
-        # Exported (not just passed) so --parallel prewarm workers and
-        # the serve dispatcher's pool inherit the same backend.
-        os.environ["REPRO_BACKEND"] = args.backend
-    if args.artifact == "store":
-        return _store(args)
-    if args.artifact == "serve":
-        return _serve(args)
-    if args.artifact == "submit":
-        return _submit(args)
     from repro.experiments.runner import set_default_cache_dir
 
     # Installed process-wide so the serial renderers, the run/

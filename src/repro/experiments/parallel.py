@@ -155,10 +155,9 @@ class SweepPool:
         self.chunk_size = chunk_size
         self._pool = None
         self._serial_fallback = False
-        # One map at a time: the service dispatcher submits from its
-        # own thread while the owning CLI/tests may also map, and the
-        # executor's lazy creation + sticky-fallback state is not safe
-        # under interleaving.  Concurrent callers serialize here (their
+        # One map at a time: the executor's lazy creation and
+        # sticky-fallback state is not safe under interleaving, so
+        # callers sharing a pool across threads serialize here (their
         # cells still fan out across the worker processes).
         self._map_lock = threading.Lock()
 

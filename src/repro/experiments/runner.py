@@ -128,19 +128,16 @@ def set_default_cache_dir(cache_dir: str | Path | None) -> None:
 
 
 def build_framework(
-    dataset_key: str,
-    cache_dir: str | None = None,
-    backend: str | None = None,
+    dataset_key: str, cache_dir: str | None = None
 ) -> tuple[ApproxIt, object]:
     """Construct the framework (and its method) for one dataset.
 
     ``cache_dir`` (explicit, or the process-wide default installed via
     :func:`set_default_cache_dir`) attaches a disk-backed
     characterization cache to the framework.  This is the one
-    registry-dataset → framework constructor; the sweep workers, the
-    CLI artifacts and the service executor all build through it, so a
-    service job and a CLI run of the same request are the same
-    computation.
+    registry-dataset → framework constructor; the sweep workers and the
+    CLI artifacts both build through it, so a sweep cell and a CLI run
+    of the same dataset are the same computation.
     """
     if cache_dir is None:
         cache_dir = _default_cache_dir
@@ -151,11 +148,7 @@ def build_framework(
     else:
         method = AutoRegression.from_dataset(dataset)
     char_cache = CharacterizationCache(cache_dir) if cache_dir else None
-    return ApproxIt(method, char_cache=char_cache, backend=backend), method
-
-
-#: Backward-compatible alias (pre-service name).
-_build_framework = build_framework
+    return ApproxIt(method, char_cache=char_cache), method
 
 
 def _qem_fn(dataset_key: str, method):
@@ -287,7 +280,7 @@ def _shard_worker(
     or was single-lane), surfaced by the parent on stderr.
     """
     dataset_key, labels, trace_dir, cache_dir = shard
-    framework, _ = _build_framework(dataset_key, cache_dir=cache_dir)
+    framework, _ = build_framework(dataset_key, cache_dir=cache_dir)
     support = framework.batching_support()
     fallback = None
     if len(labels) > 1 and support:
@@ -337,14 +330,14 @@ def _cell_worker(
     one store they can all share.
     """
     dataset_key, label, trace_dir, cache_dir = cell
-    framework, _ = _build_framework(dataset_key, cache_dir=cache_dir)
+    framework, _ = build_framework(dataset_key, cache_dir=cache_dir)
     return dataset_key, label, _run_cell(framework, label, trace_dir, dataset_key)
 
 
 def _assemble(dataset_key: str, runs: dict[str, RunResult]) -> ApplicationResult:
     """Bundle one dataset's cell runs into an :class:`ApplicationResult`."""
     spec = DATASETS[dataset_key]
-    framework, method = _build_framework(dataset_key)
+    framework, method = build_framework(dataset_key)
     qem_fn = _qem_fn(dataset_key, method)
     truth = runs["truth"]
     qem = {"truth": 0.0}
@@ -363,7 +356,7 @@ def _assemble(dataset_key: str, runs: dict[str, RunResult]) -> ApplicationResult
 
 def _run_matrix(dataset_key: str) -> ApplicationResult:
     """Serial execution of one dataset's full experiment matrix."""
-    framework, _ = _build_framework(dataset_key)
+    framework, _ = build_framework(dataset_key)
     runs = {label: _run_cell(framework, label) for label in CELL_LABELS}
     return _assemble(dataset_key, runs)
 

@@ -1,10 +1,10 @@
 """Durable file-write primitives shared by every on-disk store.
 
-Three subsystems persist state that other processes read back — the
+Three writers persist state that other processes read back — the
 content-addressed characterization cache
 (:class:`repro.core.characterize.CharacterizationCache`), the JSONL
-trace files (:mod:`repro.obs.io`) and the service run store
-(:class:`repro.service.store.RunStore`).  All of them need the same
+trace files (:mod:`repro.obs.io`) and saved runs
+(:func:`repro.core.reporting.save_run`).  All of them need the same
 discipline: a reader racing a writer (or a writer killed mid-write)
 must never observe a half-written file.  :func:`atomic_write_text` is
 that discipline in one place — write to a temp file in the destination

@@ -112,8 +112,7 @@ class StreamingRecorder(Observer):
     the end, this one opens a :class:`~repro.obs.io.TraceWriter`
     immediately and appends (and flushes) each event the moment it is
     recorded — which is what lets another process tail a *running*
-    job's trace with ``load_trace(path, partial=True)``.  The service
-    layer attaches one per computed job.
+    run's trace with ``load_trace(path, partial=True)``.
 
     Observation stays passive either way: a run observed by a
     streaming recorder is bit-identical to an unobserved run.

@@ -63,155 +63,3 @@ class TestMain:
         assert trace.meta["dataset"] == "3cluster"
         assert summarize_trace(trace).iterations > 0
 
-
-class TestServiceCli:
-    def test_serve_and_submit_flags_parse(self):
-        args = _build_parser().parse_args(
-            ["serve", "--port", "0", "--store-dir", "/tmp/s", "--batch-size", "4"]
-        )
-        assert args.artifact == "serve"
-        assert args.port == 0
-        assert args.store_dir == "/tmp/s"
-        args = _build_parser().parse_args(
-            [
-                "submit",
-                "--url",
-                "http://127.0.0.1:9",
-                "--dataset",
-                "hangseng",
-                "--sweep",
-                "incremental,adaptive",
-                "--tenant",
-                "t1",
-                "--json",
-            ]
-        )
-        assert args.artifact == "submit"
-        assert args.sweep == "incremental,adaptive"
-        assert args.tenant == "t1"
-        assert args.json is True
-
-    def test_store_dir_resolution(self, monkeypatch):
-        from repro.experiments.cli import resolve_store_dir
-
-        monkeypatch.delenv("REPRO_RUN_STORE", raising=False)
-        assert resolve_store_dir("/explicit") == "/explicit"
-        assert resolve_store_dir(None).endswith("approxit/service")
-        monkeypatch.setenv("REPRO_RUN_STORE", "/from-env")
-        assert resolve_store_dir(None) == "/from-env"
-        assert resolve_store_dir("/explicit") == "/explicit"
-
-    def test_submit_against_dead_server_fails_cleanly(self, capsys):
-        # Nothing listens on this port: the client must exit non-zero
-        # with an error on stderr, not a traceback.
-        code = main(
-            [
-                "submit",
-                "--url",
-                "http://127.0.0.1:9",
-                "--dataset",
-                "3cluster",
-                "--timeout",
-                "1",
-            ]
-        )
-        assert code == 1
-        assert "cannot reach server" in capsys.readouterr().err
-
-
-class TestStoreGcCli:
-    def _populated_store(self, tmp_path):
-        import numpy as np
-
-        from repro.arith.modes import default_mode_bank
-        from repro.core.framework import ApproxIt
-        from repro.service import RunRecord, RunStore
-        from repro.solvers.functions import QuadraticFunction
-        from repro.solvers.gradient_descent import GradientDescent
-
-        fn = QuadraticFunction.random_spd(dim=3, seed=7, condition=10.0)
-        method = GradientDescent(
-            fn, x0=np.full(3, 1.0), learning_rate=0.05, max_iter=40,
-            tolerance=1e-10,
-        )
-        run = ApproxIt(method, default_mode_bank(), probe_iterations=2).run(
-            strategy="incremental", max_iter=6
-        )
-        store = RunStore(tmp_path / "store")
-        for i in range(3):
-            store.store(
-                RunRecord.for_run(
-                    f"{i:064d}", {"dataset": "unit"}, run, created=1000.0 + i
-                )
-            )
-        return store
-
-    def test_store_gc_prunes_to_budget(self, tmp_path, capsys):
-        from repro.experiments.cli import main
-
-        store = self._populated_store(tmp_path)
-        assert (
-            main(
-                [
-                    "store",
-                    "gc",
-                    "--store-dir",
-                    str(store.root),
-                    "--max-bytes",
-                    "0",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "evicted 3 runs" in out
-        assert store.keys() == []
-
-    def test_store_gc_requires_a_budget(self, tmp_path, capsys):
-        from repro.experiments.cli import main
-
-        assert main(["store", "gc", "--store-dir", str(tmp_path)]) == 2
-
-    def test_store_rejects_unknown_verb(self, tmp_path):
-        from repro.experiments.cli import main
-
-        assert main(["store", "frob", "--store-dir", str(tmp_path)]) == 2
-
-    def test_store_gc_rejects_bad_age(self, tmp_path):
-        from repro.experiments.cli import main
-
-        assert (
-            main(
-                [
-                    "store",
-                    "gc",
-                    "--store-dir",
-                    str(tmp_path),
-                    "--max-age",
-                    "soon",
-                ]
-            )
-            == 2
-        )
-
-    def test_parse_age_suffixes(self):
-        from repro.experiments.cli import parse_age
-
-        assert parse_age("90") == 90.0
-        assert parse_age("90s") == 90.0
-        assert parse_age("15m") == 900.0
-        assert parse_age("6h") == 21600.0
-        assert parse_age("2d") == 172800.0
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            parse_age("bogus")
-        with _pytest.raises(ValueError):
-            parse_age("-5m")
-
-    def test_backend_flag_parses_and_rejects_unknown(self):
-        from repro.experiments.cli import _build_parser
-
-        args = _build_parser().parse_args(["run", "--backend", "numpy"])
-        assert args.backend == "numpy"
-        assert _build_parser().parse_args(["run"]).backend is None

@@ -365,7 +365,7 @@ class TestCellRunner:
         assert run_gmm_experiment("minip") is results["minip"]
 
     def test_unknown_label_rejected(self, mini_gmm_registry):
-        framework, _ = runner_module._build_framework("minip")
+        framework, _ = runner_module.build_framework("minip")
         with pytest.raises(KeyError, match="unknown cell label"):
             runner_module._run_cell(framework, "nonsense")
 

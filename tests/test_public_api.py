@@ -65,3 +65,31 @@ def test_adder_registry_covers_documented_families():
     assert {"exact", "loa", "etaii", "aca", "gear", "truncated"} <= set(
         ADDER_FAMILIES
     )
+
+
+def test_benchmark_tracer_wraps_and_restores_the_program_surface():
+    """The benchmark's tracer wraps layer entry points by name from
+    outside the program; a rename or deletion here must fail fast."""
+    import importlib.util
+    from pathlib import Path
+
+    from repro.backends import KernelBackend, resolve_backend_name
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    patches = list(tracer._patches)
+    try:
+        for owner, attr, original in patches:
+            assert vars(owner)[attr] is not original, f"{owner}.{attr} not wrapped"
+        wrapped_kernels = {attr for owner, attr, _ in patches if owner is KernelBackend}
+        assert wrapped_kernels == {"add_signed", *tracer_mod.FUSED_KERNELS}
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patches:
+        assert vars(owner)[attr] is original, f"{owner}.{attr} not restored"
+    assert resolve_backend_name() == "numpy"
