@@ -19,9 +19,10 @@ subject to an error budget::
 
 with ``J`` the characterized per-iteration energies, ``eps`` the
 characterized quality errors and ``E = |f(x¹) − f(x⁰)|`` (relative form,
-see :func:`relative_budget`).  The LP is solved with ``scipy``'s HiGHS
-solver, with a closed-form two-mode greedy fallback (the LP has one
-coupling constraint, so an optimal vertex mixes at most two modes).
+see :func:`relative_budget`).  The LP has one coupling constraint over
+the simplex, so an optimal vertex mixes at most two modes: it is solved
+exactly in closed form by enumerating those vertices (the tests check
+it against ``scipy``'s HiGHS solver as the oracle).
 
 **Online f-step update.**  Every ``update_period`` iterations the budget
 is refreshed to the latest observed decrease and the LP re-solved —
@@ -46,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.arith.modes import ApproxMode, ModeBank
 from repro.core.characterize import CharacterizationTable
@@ -78,7 +78,12 @@ def solve_energy_lp(
     budget: float,
     min_weight: float = 1e-3,
 ) -> np.ndarray:
-    """Solve the Eq.-5 allocation problem.
+    """Solve the Eq.-5 allocation problem exactly.
+
+    With a single coupling constraint over the simplex, an optimal
+    vertex assigns the free mass to at most two modes, so enumerating
+    every pure allocation and every budget-active pair and keeping the
+    cheapest feasible one is exact.
 
     Args:
         energies: per-mode energy cost ``J`` (ladder order).
@@ -98,54 +103,24 @@ def solve_energy_lp(
     n = energies.shape[0]
     if epsilons.shape[0] != n:
         raise ValueError(f"J and eps lengths differ: {n} vs {epsilons.shape[0]}")
+    _check_min_weight(min_weight)
     if n * min_weight >= 1.0:
         raise ValueError(f"min_weight {min_weight} infeasible for {n} modes")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
 
-    floor_error = float(epsilons @ np.full(n, min_weight)) + (
-        1 - n * min_weight
-    ) * float(epsilons.min())
-    if budget < floor_error:
-        # Infeasible: put all free mass on the least-error mode.
-        omega = np.full(n, min_weight)
-        omega[int(np.argmin(epsilons))] += 1 - n * min_weight
-        return omega
-
-    result = linprog(
-        c=energies,
-        A_ub=epsilons[np.newaxis, :],
-        b_ub=[budget],
-        A_eq=np.ones((1, n)),
-        b_eq=[1.0],
-        bounds=[(min_weight, 1.0)] * n,
-        method="highs",
-    )
-    if result.success:
-        omega = np.maximum(result.x, min_weight)
-        return omega / omega.sum()
-    return _greedy_allocation(energies, epsilons, budget, min_weight)
-
-
-def _greedy_allocation(
-    energies: np.ndarray,
-    epsilons: np.ndarray,
-    budget: float,
-    min_weight: float,
-) -> np.ndarray:
-    """Closed-form fallback for the Eq.-5 LP.
-
-    With a single coupling constraint over the simplex, an optimal
-    vertex assigns the free mass to at most two modes, so enumerating
-    all feasible pairs (and pure allocations) and keeping the cheapest
-    is exact.
-    """
-    n = energies.shape[0]
     floor = np.full(n, min_weight)
     free = 1.0 - n * min_weight
-    remaining = budget - float(epsilons @ floor)
+    # Infeasible budgets (and, as a guard, an empty enumeration) put all
+    # free mass on the least-error mode.
+    least_error = floor.copy()
+    least_error[int(np.argmin(epsilons))] += free
+    floor_error = float(epsilons @ floor)
+    if budget < floor_error + free * float(epsilons.min()):
+        return least_error
+    remaining = budget - floor_error
 
-    best_omega = None
+    best_omega = least_error
     best_cost = np.inf
 
     def consider(omega: np.ndarray) -> None:
@@ -173,13 +148,12 @@ def _greedy_allocation(
                 mixed[i] += share
                 mixed[j] += free - share
                 consider(mixed)
-
-    if best_omega is None:
-        # Nothing feasible: lean fully on the least-error mode.
-        omega = floor.copy()
-        omega[int(np.argmin(epsilons))] += free
-        return omega
     return best_omega
+
+
+def _check_min_weight(min_weight: float) -> None:
+    if not (math.isfinite(min_weight) and min_weight >= 0):
+        raise ValueError(f"min_weight must be finite and >= 0, got {min_weight}")
 
 
 @dataclass
@@ -273,6 +247,7 @@ class AdaptiveAngleStrategy(ReconfigurationStrategy):
             )
         if quality_window < 0:
             raise ValueError(f"quality_window must be >= 0, got {quality_window}")
+        _check_min_weight(min_weight)
         self.quality_window = int(quality_window)
         self.update_period = int(update_period)
         self.min_weight = float(min_weight)

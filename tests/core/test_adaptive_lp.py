@@ -4,16 +4,54 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from repro.core.strategies.adaptive import (
     AngleLookupTable,
-    _greedy_allocation,
     relative_budget,
     solve_energy_lp,
 )
 
 ENERGIES = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
 EPSILONS = np.array([1e-1, 1e-3, 1e-5, 1e-7, 0.0])
+
+
+@st.composite
+def lp_problems(draw):
+    """An Eq.-5 problem: a 2-6 mode ladder with increasing energies and
+    errors in [0, 0.2] (ties and an error-free mode included), a share
+    floor, and a budget that is either drawn from [0, 2 max eps] or sits
+    exactly on a boundary (the floor error or a pure mode's error)."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    steps = draw(
+        st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=n, max_size=n)
+    )
+    energies = np.cumsum(steps)
+    pool = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-8, max_value=0.2)),
+            min_size=1,
+            max_size=n,
+        )
+    )
+    epsilons = np.array([draw(st.sampled_from(pool)) for _ in range(n)])
+    if draw(st.booleans()):
+        epsilons[draw(st.integers(min_value=0, max_value=n - 1))] = 0.0
+    min_weight = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.05]))
+    floor = np.full(n, min_weight)
+    free = 1.0 - n * min_weight
+    boundaries = [float(epsilons @ floor) + free * float(epsilons.min())]
+    for i in range(n):
+        pure = floor.copy()
+        pure[i] += free
+        boundaries.append(float(pure @ epsilons))
+    budget = draw(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=2 * float(epsilons.max())),
+            st.sampled_from(boundaries),
+        )
+    )
+    return energies, epsilons, budget, min_weight, boundaries[0]
 
 
 class TestSolveEnergyLp:
@@ -42,19 +80,38 @@ class TestSolveEnergyLp:
         omega = solve_energy_lp(ENERGIES, EPSILONS, budget=5e-5, min_weight=1e-9)
         assert omega.argmax() == 2
 
-    def test_greedy_matches_linprog_energy(self):
-        rng = np.random.default_rng(1)
-        for _ in range(25):
-            eps = np.sort(rng.uniform(0, 0.1, size=5))[::-1].copy()
-            eps[-1] = 0.0
-            budget = float(rng.uniform(0, 0.05))
-            lp = solve_energy_lp(ENERGIES, eps, budget, min_weight=1e-9)
-            greedy = _greedy_allocation(ENERGIES, eps, budget, min_weight=1e-9)
-            # Both must be feasible and near-equal in objective value.
-            assert float(greedy @ eps) <= budget + 1e-9
-            assert float(greedy @ ENERGIES) == pytest.approx(
-                float(lp @ ENERGIES), abs=1e-3
-            )
+    @given(lp_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_highs_oracle(self, problem):
+        energies, epsilons, budget, min_weight, min_error = problem
+        omega = solve_energy_lp(energies, epsilons, budget, min_weight)
+        assert float(omega.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert (omega >= min_weight).all()
+        n = len(energies)
+        if budget < min_error:
+            # Infeasible: all free mass goes to the least-error mode.
+            least_error = np.full(n, min_weight)
+            least_error[int(np.argmin(epsilons))] += 1.0 - n * min_weight
+            assert np.array_equal(omega, least_error)
+            return
+        assert float(omega @ epsilons) <= budget + 1e-15
+        oracle = linprog(
+            c=energies,
+            A_ub=epsilons[np.newaxis, :],
+            b_ub=[budget],
+            A_eq=np.ones((1, n)),
+            b_eq=[1.0],
+            bounds=[(min_weight, 1.0)] * n,
+            method="highs",
+            # HiGHS's default 1e-7 feasibility tolerance would let it
+            # undercut a share floor of 1e-9 outright.
+            options={
+                "primal_feasibility_tolerance": 1e-10,
+                "dual_feasibility_tolerance": 1e-10,
+            },
+        )
+        if oracle.success:
+            assert float(omega @ energies) <= oracle.fun * (1 + 1e-9) + 1e-12
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError, match="lengths"):
@@ -67,6 +124,13 @@ class TestSolveEnergyLp:
     def test_rejects_infeasible_min_weight(self):
         with pytest.raises(ValueError, match="min_weight"):
             solve_energy_lp(ENERGIES, EPSILONS, 0.1, min_weight=0.5)
+
+    def test_rejects_negative_or_non_finite_min_weight(self):
+        for bad in (-0.05, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="min_weight"):
+                solve_energy_lp(ENERGIES, EPSILONS, 0.1, min_weight=bad)
+        omega = solve_energy_lp(ENERGIES, EPSILONS, 0.1, min_weight=0.0)
+        assert float(omega.sum()) == pytest.approx(1.0)
 
     @given(st.floats(min_value=0, max_value=1.0))
     @settings(max_examples=100)

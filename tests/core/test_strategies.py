@@ -258,6 +258,12 @@ class TestAdaptiveStrategy:
         with pytest.raises(ValueError):
             AdaptiveAngleStrategy(budget_smoothing=1.0)
 
+    def test_rejects_negative_or_non_finite_min_weight(self):
+        for bad in (-0.05, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="min_weight"):
+                AdaptiveAngleStrategy(min_weight=bad)
+        assert AdaptiveAngleStrategy(min_weight=0.0).min_weight == 0.0
+
     def test_update_period_controls_lut_refresh(self, bank32):
         strat = AdaptiveAngleStrategy(update_period=10)
         mode = strat.start(bank32, fake_characterization(bank32))

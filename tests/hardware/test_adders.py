@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hardware import bitops
 from repro.hardware.adders import (
     ADDER_FAMILIES,
     AcaAdder,
@@ -117,6 +118,69 @@ class TestLowerOrAdder:
 
     def test_critical_path_shrinks(self):
         assert LowerOrAdder(32, approx_bits=20).critical_path_cells() == 12
+
+
+@st.composite
+def wide_loa_operands(draw):
+    """A width-9..60 LOA, two signed operand lists of one length ``n``,
+    per-word multiples of ``2**width`` that keep them inside int64, and a
+    row length ``m <= n`` for the broadcast case."""
+    width = draw(st.integers(9, bitops.MAX_WIDTH))
+    adder = LowerOrAdder(width, approx_bits=draw(st.integers(1, width - 1)))
+    lo, hi = bitops.signed_range(width)
+    reach = ((1 << 63) - 1 - (1 << (width - 1))) >> width
+    n = draw(st.integers(1, 6))
+    words = st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    wraps = st.lists(st.integers(-reach, reach), min_size=n, max_size=n)
+    m = draw(st.integers(1, n))
+    return adder, draw(words), draw(words), draw(wraps), draw(wraps), m
+
+
+def masked_signed_add(adder, a, b):
+    """The generic signed add: mask to unsigned words, add, sign-extend."""
+    w = adder.width
+    ua, ub = bitops.to_unsigned(a, w), bitops.to_unsigned(b, w)
+    return bitops.to_signed(adder.add_unsigned(ua, ub), w)
+
+
+class TestLowerOrAdderWide:
+    """``LowerOrAdder.add_signed`` skips the operand masks; beyond the
+    exhaustive width-8 suites it must still equal the masked composition."""
+
+    @given(wide_loa_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_add_signed_matches_masked_composition(self, case):
+        adder, a_list, b_list, wrap_a, wrap_b, m = case
+        w, k = adder.width, adder.approx_bits
+        a = np.array(a_list, dtype=np.int64)
+        b = np.array(b_list, dtype=np.int64)
+        expected = masked_signed_add(adder, a, b)
+        ua, ub = bitops.to_unsigned(a, w), bitops.to_unsigned(b, w)
+        golden = [golden_loa(int(x), int(y), w, k) for x, y in zip(ua, ub)]
+        assert np.array_equal(bitops.to_unsigned(expected, w), golden)
+
+        def wrapped(words, wraps):
+            return np.array(
+                [x + (t << w) for x, t in zip(words, wraps)], dtype=np.int64
+            )
+
+        shifted_a, shifted_b = wrapped(a_list, wrap_a), wrapped(b_list, wrap_b)
+        cases = [
+            (a, b, expected),
+            (shifted_a, shifted_b, expected),
+            (np.array(shifted_a[0]), np.array(shifted_b[0]), expected[0]),
+            (
+                shifted_a[:, None],
+                shifted_b[None, :m],
+                masked_signed_add(adder, a[:, None], b[None, :m]),
+            ),
+        ]
+        for x, y, want in cases:
+            before = (x.copy(), y.copy())
+            out = adder.add_signed(x, y)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, want)
+            assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
 
 
 class TestEtaIIAdder:
