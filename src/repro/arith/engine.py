@@ -1488,10 +1488,21 @@ class BatchedEngine:
         The order of ``lane_ids`` is the order of rows in every stacked
         operand: row ``r`` of an ``(L, ...)`` stack belongs to ledger
         lane ``lane_ids[r]``.
+
+        Raises:
+            ValueError: on an empty selection, or unless the ids are
+                distinct and in ``[0, ledger.lanes)`` (a repeated id
+                would be charged once, a negative one would wrap).
         """
         ids = np.asarray(lane_ids, dtype=np.int64).reshape(-1)
         if ids.size == 0:
             raise ValueError("select_lanes needs at least one lane")
+        lanes = self.ledger.lanes
+        if ids.min() < 0 or ids.max() >= lanes or np.unique(ids).size != ids.size:
+            raise ValueError(
+                f"select_lanes needs distinct lane ids in [0, {lanes}), "
+                f"got {ids.tolist()}"
+            )
         self.lane_ids = ids
 
     def pin(self, name: str, array: np.ndarray) -> ResidentVector:

@@ -1,4 +1,4 @@
-"""Iteration-program capture & replay for the solo online loop.
+"""Iteration-program capture & replay for the online loop.
 
 An iterative method walks the *same* :class:`~repro.arith.ApproxEngine`
 op sequence every iteration at a fixed mode: the op kinds, operand
@@ -23,8 +23,9 @@ style:
   precomputed, saturation prechecks reuse cached bounds, and the whole
   iteration's charges flush through a single ordered
   :meth:`~repro.arith.engine.EnergyLedger.charge_many` call;
-* :class:`ProgramEngine` — an :class:`ApproxEngine` subclass hosting
-  the record/replay state machine behind the same public kernel API, so
+* :class:`ProgramEngine` / :class:`BatchedProgramEngine` — solo and
+  lane-group engines hosting the record/replay state machine they share
+  (:class:`_ProgramCapture`) behind the same public kernel API, so
   solvers need no changes.
 
 Contract (the repo's established one): a replayed iteration produces
@@ -42,9 +43,10 @@ finishes interpreted and the next one re-records):
   ``"shorter-iteration"``);
 * an add whose recorded saturation precheck said "in range" now
   overflowing (``"saturation"``);
-* mode reconfigurations and function-scheme rollbacks invalidate
-  programs up front (driven by :class:`~repro.core.framework.ApproxIt`),
-  so the retried/reconfigured iteration re-records.
+* function-scheme rollbacks invalidate every engine's program up front
+  (driven by :class:`~repro.core.framework.ApproxIt`), so the retried
+  iteration re-records; a mode switch selects that mode's own engine
+  and keeps its program.
 
 The interpreted path stays byte-for-byte untouched as the regression
 oracle: a ``ProgramEngine`` with capture off (or ``fast_path=False``)
@@ -1215,17 +1217,21 @@ class ProgramExecutor:
         return step
 
 
-class ProgramEngine(ApproxEngine):
-    """An :class:`ApproxEngine` with iteration-program capture/replay.
+class _ProgramCapture:
+    """The record/replay state machine both program engines share.
 
-    Driven by :class:`~repro.core.framework.ApproxIt` through
-    :meth:`begin_iteration` / :meth:`bind_slot` / :meth:`end_iteration`;
-    between those calls the public kernel API is unchanged, so solvers
-    are oblivious.  Outside an iteration window (or with
-    ``fast_path=False``) every call runs plain interpreted — a
-    ``ProgramEngine`` never changes results, only how often the
-    structure around them is re-derived.
+    Placed before the engine class in the bases, so ``super()`` reaches
+    the plain engine.  Each subclass supplies ``_impls`` (the interpreted
+    kernels the dispatcher records through and bails out to),
+    :meth:`_compile` (recording -> program) and :meth:`_flush` (a
+    replay's deferred charges -> ledger), wraps :meth:`_open_window` /
+    :meth:`_close_window` in its own ``begin_iteration`` /
+    ``end_iteration``, and routes its charge hook through
+    :meth:`_deferred`.  The hooked kernels stay on the subclasses: no
+    engine op may be defined here.
     """
+
+    _impls: dict
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -1243,7 +1249,7 @@ class ProgramEngine(ApproxEngine):
     # ------------------------------------------------------------------
     # Lifecycle (called by the framework's online loop)
     # ------------------------------------------------------------------
-    def begin_iteration(self, slots: dict[str, object]) -> str:
+    def _open_window(self, slots: dict[str, object]) -> str:
         """Open an iteration window.
 
         Returns ``"replay"`` when a cached program will drive it,
@@ -1265,22 +1271,22 @@ class ProgramEngine(ApproxEngine):
 
     def bind_slot(self, name: str, value) -> None:
         """Declare an iteration-varying operand discovered mid-iteration
-        (the framework binds the direction ``d`` once computed)."""
+        (the framework binds the direction ``d`` / ``D`` once computed)."""
         if self._pstate is not _IDLE:
             self._slots[name] = value
 
     def invalidate_program(self) -> None:
-        """Drop the cached program (mode reconfiguration, rollback)."""
+        """Drop the cached program (the framework does so on rollback)."""
         self.program = None
 
-    def end_iteration(self) -> tuple[str, str | None]:
+    def _close_window(self) -> tuple[str, str | None]:
         """Close the iteration window.
 
         Returns ``(execution, bailout_reason)``: execution is
         ``"captured"`` / ``"replayed"`` / ``"interpreted"``; the reason
         is non-``None`` exactly when a replay bailed (the program was
         dropped and the next iteration re-records).  Flushes a replay's
-        deferred charges through one ordered ``charge_many`` call.
+        deferred charges through one ordered :meth:`_flush`.
         """
         state = self._pstate
         execution = "interpreted"
@@ -1290,7 +1296,7 @@ class ProgramEngine(ApproxEngine):
             self._recorder = None
             if recorder is not None:
                 try:
-                    self.program = recorder.finalize(self, self._slots)
+                    self.program = self._compile(recorder)
                 except Exception:
                     # Structure the compiler cannot express: stay on the
                     # interpreted path for good rather than re-fail
@@ -1320,7 +1326,7 @@ class ProgramEngine(ApproxEngine):
                 self.program_bailouts += 1
                 self.program = None
             if executor.pending:
-                self.ledger.charge_many(executor.pending)
+                self._flush(executor.pending)
         self._pstate = _IDLE
         self._slots = {}
         return execution, reason
@@ -1328,20 +1334,22 @@ class ProgramEngine(ApproxEngine):
     # ------------------------------------------------------------------
     # Hook plumbing
     # ------------------------------------------------------------------
-    def _charge(self, mode_name, n_adds, energy_per_add):
+    def _deferred(self, mode_name, n_adds, energy_per_add) -> bool:
+        """Route one kernel charge through the window: log it while
+        recording (the caller still charges it), or defer it to the
+        replay's end-of-iteration flush and return ``True``."""
         state = self._pstate
         if state is _RECORD:
             recorder = self._recorder
             if recorder is not None:
                 recorder.on_charge(mode_name, n_adds, energy_per_add)
-            self.ledger.charge(mode_name, n_adds, energy_per_add)
         elif state is _REPLAY or state is _BAILED:
             self._executor.pending.append((mode_name, n_adds, energy_per_add))
-        else:
-            self.ledger.charge(mode_name, n_adds, energy_per_add)
+            return True
+        return False
 
-    def _saturation_needed(self, qa, qb, bounds_a, bounds_b):
-        needed = super()._saturation_needed(qa, qb, bounds_a, bounds_b)
+    def _saturation_needed(self, *args):
+        needed = super()._saturation_needed(*args)
         if self._pstate is _RECORD:
             recorder = self._recorder
             if recorder is not None:
@@ -1354,7 +1362,7 @@ class ProgramEngine(ApproxEngine):
             recorder.open_op(kind, args, params)
             self._depth += 1
             try:
-                out = _BASE_IMPLS[kind](self, *args, **params)
+                out = self._impls[kind](self, *args, **params)
             except BaseException:
                 # Recording aborted (e.g. a non-finite operand raised):
                 # drop the half-built trace; the error propagates as it
@@ -1406,9 +1414,65 @@ class ProgramEngine(ApproxEngine):
         if executor.bailed_reason is None:
             executor.bailed_reason = reason
         # The rest of the iteration runs interpreted; its charges keep
-        # appending to the pending list (via _charge) in order.
+        # appending to the pending list (via the charge hook) in order.
         self._pstate = _BAILED
-        return _BASE_IMPLS[kind](self, *args, **params)
+        return self._impls[kind](self, *args, **params)
+
+    def cache_stats(self) -> dict[str, int]:
+        stats = super().cache_stats()
+        stats["program_captures"] = self.program_captures
+        stats["program_replays"] = self.program_replays
+        stats["program_bailouts"] = self.program_bailouts
+        stats["program_cached"] = int(self.program is not None)
+        return stats
+
+
+#: Interpreted implementations the dispatcher records through and bails
+#: out to — always the plain ApproxEngine methods, never the hooks.
+_BASE_IMPLS = {
+    "add": ApproxEngine.add,
+    "sub": ApproxEngine.sub,
+    "scale_add": ApproxEngine.scale_add,
+    "sum": ApproxEngine.sum,
+    "dot": ApproxEngine.dot,
+    "matvec": ApproxEngine.matvec,
+    "weighted_sum": ApproxEngine.weighted_sum,
+}
+
+
+class ProgramEngine(_ProgramCapture, ApproxEngine):
+    """An :class:`ApproxEngine` with iteration-program capture/replay.
+
+    Driven by :class:`~repro.core.framework.ApproxIt` through
+    :meth:`begin_iteration` / :meth:`bind_slot` / :meth:`end_iteration`;
+    between those calls the public kernel API is unchanged, so solvers
+    are oblivious.  Outside an iteration window (or with
+    ``fast_path=False``) every call runs plain interpreted — a
+    ``ProgramEngine`` never changes results, only how often the
+    structure around them is re-derived.
+    """
+
+    _impls = _BASE_IMPLS
+
+    def begin_iteration(self, slots: dict[str, object]) -> str:
+        """Open an iteration window: ``"replay"``, ``"record"`` or
+        ``"off"`` (see :meth:`_ProgramCapture._open_window`)."""
+        return self._open_window(slots)
+
+    def end_iteration(self) -> tuple[str, str | None]:
+        """Close the iteration window; returns ``(execution,
+        bailout_reason)`` (see :meth:`_ProgramCapture._close_window`)."""
+        return self._close_window()
+
+    def _compile(self, recorder):
+        return recorder.finalize(self, self._slots)
+
+    def _flush(self, pending):
+        self.ledger.charge_many(pending)
+
+    def _charge(self, mode_name, n_adds, energy_per_add):
+        if not self._deferred(mode_name, n_adds, energy_per_add):
+            self.ledger.charge(mode_name, n_adds, energy_per_add)
 
     # ------------------------------------------------------------------
     # Hooked public kernels (record/replay at depth 0 only — nested
@@ -1481,27 +1545,6 @@ class ProgramEngine(ApproxEngine):
                 "weighted_sum", (weights, points), {"resident": resident}
             )
         return ApproxEngine.weighted_sum(self, weights, points, resident=resident)
-
-    def cache_stats(self) -> dict[str, int]:
-        stats = super().cache_stats()
-        stats["program_captures"] = self.program_captures
-        stats["program_replays"] = self.program_replays
-        stats["program_bailouts"] = self.program_bailouts
-        stats["program_cached"] = int(self.program is not None)
-        return stats
-
-
-#: Interpreted implementations the dispatcher records through and bails
-#: out to — always the plain ApproxEngine methods, never the hooks.
-_BASE_IMPLS = {
-    "add": ApproxEngine.add,
-    "sub": ApproxEngine.sub,
-    "scale_add": ApproxEngine.scale_add,
-    "sum": ApproxEngine.sum,
-    "dot": ApproxEngine.dot,
-    "matvec": ApproxEngine.matvec,
-    "weighted_sum": ApproxEngine.weighted_sum,
-}
 
 
 # ======================================================================
@@ -2002,7 +2045,21 @@ def _finalize_batched(recorder, engine, slots, lanes) -> IterationProgram:
     return IterationProgram(steps, chains, tails)
 
 
-class BatchedProgramEngine(BatchedEngine):
+#: Interpreted batched implementations the dispatcher records through
+#: and bails out to — the plain BatchedEngine methods, never the hooks.
+#: ``dot`` is deliberately absent: the batched ``dot`` is un-hooked and
+#: funnels into the hooked ``sum`` at depth 0.
+_B_BASE_IMPLS = {
+    "add": BatchedEngine.add,
+    "sub": BatchedEngine.sub,
+    "scale_add": BatchedEngine.scale_add,
+    "sum": BatchedEngine.sum,
+    "matvec": BatchedEngine.matvec,
+    "weighted_sum": BatchedEngine.weighted_sum,
+}
+
+
+class BatchedProgramEngine(_ProgramCapture, BatchedEngine):
     """A :class:`~repro.arith.engine.BatchedEngine` with lane-group
     iteration-program capture/replay.
 
@@ -2023,192 +2080,42 @@ class BatchedProgramEngine(BatchedEngine):
     batched engine.
     """
 
+    _impls = _B_BASE_IMPLS
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._pstate = _IDLE
-        self._depth = 0
-        self._slots: dict[str, object] = {}
-        self._recorder: ProgramRecorder | None = None
-        self._executor: ProgramExecutor | None = None
-        self._iter_lane_ids: np.ndarray | None = None
-        self._capture_lanes = 0
-        self.program: IterationProgram | None = None
-        self.program_captures = 0
-        self.program_replays = 0
-        self.program_bailouts = 0
-        self._program_unsupported = False
+        #: The lanes the open window was selected on (compile and flush).
+        self._window_lanes: np.ndarray | None = None
 
-    # ------------------------------------------------------------------
-    # Lifecycle (called by the framework's batched loop, per mode group)
-    # ------------------------------------------------------------------
     def begin_iteration(self, slots: dict[str, object]) -> str:
         """Open a lane-group iteration window (after ``select_lanes``).
 
         Returns ``"replay"`` / ``"record"`` / ``"off"`` exactly as
         :meth:`ProgramEngine.begin_iteration` does.
         """
-        if not self.fast_path or self._program_unsupported:
-            self._pstate = _IDLE
-            return "off"
         if self.lane_ids is None:
             raise RuntimeError("call select_lanes() before begin_iteration()")
-        self._slots = dict(slots)
-        self._iter_lane_ids = self.lane_ids
-        if self.program is not None:
-            self._executor = ProgramExecutor(self.program)
-            self._pstate = _REPLAY
-            return "replay"
-        self._recorder = ProgramRecorder()
-        self._capture_lanes = int(self.lane_ids.shape[0])
-        self._pstate = _RECORD
-        return "record"
-
-    def bind_slot(self, name: str, value) -> None:
-        """Declare an iteration-varying operand discovered mid-iteration
-        (the framework binds the stacked direction ``D``)."""
-        if self._pstate is not _IDLE:
-            self._slots[name] = value
-
-    def invalidate_program(self) -> None:
-        """Drop the cached program (rollback re-record)."""
-        self.program = None
+        self._window_lanes = self.lane_ids
+        return self._open_window(slots)
 
     def end_iteration(self) -> tuple[str, str | None]:
-        """Close the lane-group iteration window.
+        """Close the lane-group iteration window as the solo engine
+        does, flushing a replay's deferred charges through one ordered
+        ``charge_many_lanes`` call over the lanes the window opened on."""
+        result = self._close_window()
+        self._window_lanes = None
+        return result
 
-        Returns ``(execution, bailout_reason)`` as the solo engine does,
-        flushing a replay's deferred charges through one ordered
-        ``charge_many_lanes`` call over the lanes the window opened on.
-        """
-        state = self._pstate
-        execution = "interpreted"
-        reason = None
-        if state is _RECORD:
-            recorder = self._recorder
-            self._recorder = None
-            if recorder is not None:
-                try:
-                    self.program = _finalize_batched(
-                        recorder, self, self._slots, self._capture_lanes
-                    )
-                except Exception:
-                    # Structure the batched compiler cannot express:
-                    # stay interpreted for good rather than re-fail
-                    # every iteration.
-                    self.program = None
-                    self._program_unsupported = True
-                else:
-                    self.program_captures += 1
-                    execution = "captured"
-        elif state is _REPLAY or state is _BAILED:
-            executor = self._executor
-            self._executor = None
-            if (
-                state is _REPLAY
-                and self.program is not None
-                and executor.cursor != len(self.program.steps)
-            ):
-                executor.bailed_reason = "shorter-iteration"
-            if executor.bailed_reason is None:
-                execution = "replayed"
-                self.program_replays += 1
-            else:
-                reason = executor.bailed_reason
-                self.program_bailouts += 1
-                self.program = None
-            if executor.pending:
-                self.ledger.charge_many_lanes(
-                    self._iter_lane_ids, executor.pending
-                )
-        self._pstate = _IDLE
-        self._slots = {}
-        self._iter_lane_ids = None
-        return execution, reason
+    def _compile(self, recorder):
+        lanes = int(self._window_lanes.shape[0])
+        return _finalize_batched(recorder, self, self._slots, lanes)
 
-    # ------------------------------------------------------------------
-    # Hook plumbing
-    # ------------------------------------------------------------------
+    def _flush(self, pending):
+        self.ledger.charge_many_lanes(self._window_lanes, pending)
+
     def _charge_lanes(self, mode_name, adds_per_lane, energy_per_add):
-        state = self._pstate
-        if state is _RECORD:
-            recorder = self._recorder
-            if recorder is not None:
-                recorder.on_charge(mode_name, adds_per_lane, energy_per_add)
-            BatchedEngine._charge_lanes(
-                self, mode_name, adds_per_lane, energy_per_add
-            )
-        elif state is _REPLAY or state is _BAILED:
-            self._executor.pending.append(
-                (mode_name, adds_per_lane, energy_per_add)
-            )
-        else:
-            BatchedEngine._charge_lanes(
-                self, mode_name, adds_per_lane, energy_per_add
-            )
-
-    def _saturation_needed(self, qa, qb, bounds_a, bounds_b, lane_axis):
-        needed = super()._saturation_needed(
-            qa, qb, bounds_a, bounds_b, lane_axis
-        )
-        if self._pstate is _RECORD:
-            recorder = self._recorder
-            if recorder is not None:
-                recorder.on_saturation(needed)
-        return needed
-
-    def _dispatch(self, kind, args, params):
-        if self._pstate is _RECORD:
-            recorder = self._recorder
-            recorder.open_op(kind, args, params)
-            self._depth += 1
-            try:
-                out = _B_BASE_IMPLS[kind](self, *args, **params)
-            except BaseException:
-                self._recorder = None
-                self._pstate = _IDLE
-                raise
-            finally:
-                self._depth -= 1
-            recorder.close_op(out)
-            return out
-        # _REPLAY
-        executor = self._executor
-        step = executor.next_step(kind, params)
-        if step is None:
-            return self._bail_and_run(kind, args, params, "structure")
-        idx = executor.cursor - 1
-        hit = executor.memo.pop(idx, None)
-        if hit is not None:
-            pred_args, out = hit
-            if len(pred_args) == len(args) and all(
-                p is a for p, a in zip(pred_args, args)
-            ):
-                executor.results[idx] = out
-                executor.pending.extend(step.charges)
-                return out
-        self._depth += 1
-        try:
-            out = step.replay(self, args)
-        except ProgramBailout as bail:
-            self._depth -= 1
-            return self._bail_and_run(kind, args, params, bail.reason)
-        except BaseException:
-            self._depth -= 1
-            raise
-        self._depth -= 1
-        executor.pending.extend(step.charges)
-        executor.results[idx] = out
-        chain = self.program.chains.get(idx)
-        if chain is not None:
-            _speculate_chain(self, executor, self.program, chain)
-        return out
-
-    def _bail_and_run(self, kind, args, params, reason):
-        executor = self._executor
-        if executor.bailed_reason is None:
-            executor.bailed_reason = reason
-        self._pstate = _BAILED
-        return _B_BASE_IMPLS[kind](self, *args, **params)
+        if not self._deferred(mode_name, adds_per_lane, energy_per_add):
+            super()._charge_lanes(mode_name, adds_per_lane, energy_per_add)
 
     # ------------------------------------------------------------------
     # Hooked public kernels (record/replay at depth 0 only)
@@ -2273,25 +2180,3 @@ class BatchedProgramEngine(BatchedEngine):
         return BatchedEngine.weighted_sum(
             self, weights, points, resident=resident
         )
-
-    def cache_stats(self) -> dict[str, int]:
-        stats = super().cache_stats()
-        stats["program_captures"] = self.program_captures
-        stats["program_replays"] = self.program_replays
-        stats["program_bailouts"] = self.program_bailouts
-        stats["program_cached"] = int(self.program is not None)
-        return stats
-
-
-#: Interpreted batched implementations the dispatcher records through
-#: and bails out to — the plain BatchedEngine methods, never the hooks.
-#: ``dot`` is deliberately absent: the batched ``dot`` is un-hooked and
-#: funnels into the hooked ``sum`` at depth 0.
-_B_BASE_IMPLS = {
-    "add": BatchedEngine.add,
-    "sub": BatchedEngine.sub,
-    "scale_add": BatchedEngine.scale_add,
-    "sum": BatchedEngine.sum,
-    "matvec": BatchedEngine.matvec,
-    "weighted_sum": BatchedEngine.weighted_sum,
-}

@@ -21,6 +21,11 @@ iteration reproduces the previous iterate bit-for-bit the method has
 reached a fixed point of the (quantized) map and cannot move again, so
 the run ends regardless of tolerance.
 
+:meth:`ApproxIt.run_batch` drives the same loop over several runs
+("lanes") at once: each pass groups the live lanes by mode and steps
+every group through stacked batched kernels.  A solo run is the
+one-lane case, so both make the same decisions in the same order.
+
 The returned :class:`RunResult` carries everything the paper's tables
 report: per-mode step counts, total iterations, rollbacks, energy by
 mode, the final state and traces.
@@ -28,6 +33,7 @@ mode, the final state and traces.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,13 +178,6 @@ class ApproxIt:
         0.45
     """
 
-    #: Class-wide default for :meth:`run`'s ``program_capture`` — when
-    #: on, solo runs record each (solver, mode) iteration's engine op
-    #: sequence once and replay it compiled (see
-    #: :mod:`repro.arith.program`).  Results and ledgers are identical
-    #: either way; flip off to force the interpreted oracle everywhere.
-    default_program_capture: bool = True
-
     def __init__(
         self,
         method: IterativeMethod,
@@ -292,50 +291,71 @@ class ApproxIt:
                 engine op sequence once and replay it compiled on later
                 iterations (:mod:`repro.arith.program`); iterates stay
                 bit-identical and the ledger float-equal, enforced by a
-                parity suite.  ``None`` (default) takes
-                :attr:`default_program_capture`; ``False`` forces the
-                interpreted oracle.
+                parity suite.  ``None`` (default) or ``True`` captures;
+                ``False`` forces the interpreted oracle.
 
         Returns:
             A :class:`RunResult`.
         """
         policy = self.resolve_strategy(strategy)
-        budget = self.method.max_iter if max_iter is None else int(max_iter)
-        characterization = self.characterization()
-        epsilons = characterization.epsilons()
-
-        capture = (
-            self.default_program_capture
-            if program_capture is None
-            else bool(program_capture)
+        capture = program_capture is None or bool(program_capture)
+        (result,) = self._online(
+            [policy],
+            [observer],
+            ProgramEngine if capture else ApproxEngine,
+            EnergyLedger(observer=observer),
+            kernels=None,
+            capture=capture,
+            max_iter=max_iter,
+            collect_traces=collect_traces,
+            collect_history=collect_history,
+            observer=observer,
         )
-        engine_cls = ProgramEngine if capture else ApproxEngine
-        ledger = EnergyLedger()
-        if observer is not None:
-            ledger.observer = observer
-        engines = {
-            mode.name: engine_cls(mode, self.fmt, ledger)
-            for mode in self.bank
-        }
+        return result
 
-        policy.bind_observer(observer)
+    def _online(
+        self,
+        policies: list[ReconfigurationStrategy],
+        lane_observers: list[Observer | None],
+        engine_cls,
+        ledger,
+        *,
+        kernels,
+        capture: bool,
+        max_iter: int | None,
+        collect_traces: bool,
+        collect_history: bool,
+        observer: Observer | None,
+    ) -> list[RunResult]:
+        """The set-up :meth:`run` and :meth:`run_batch` share around the
+        online loop: budget, epsilons, one engine per mode, observer
+        binding and the cache-metric export."""
+        characterization = self.characterization()
+        engines = {
+            mode.name: engine_cls(mode, self.fmt, ledger) for mode in self.bank
+        }
+        loop = _OnlineLoop(
+            self,
+            engines,
+            ledger,
+            kernels=kernels,
+            capture=capture,
+            budget=self.method.max_iter if max_iter is None else int(max_iter),
+            epsilons=characterization.epsilons(),
+            collect_traces=collect_traces,
+            collect_history=collect_history,
+            observer=observer,
+        )
+        for policy, lane_observer in zip(policies, lane_observers):
+            policy.bind_observer(lane_observer)
         try:
-            result = self._run_loop(
-                policy,
-                budget,
-                epsilons,
-                ledger,
-                engines,
-                collect_traces,
-                collect_history,
-                observer,
-                capture,
-            )
+            results = loop.drive(policies, lane_observers, characterization)
         finally:
-            policy.bind_observer(None)
+            for policy in policies:
+                policy.bind_observer(None)
         if observer is not None:
             self._export_cache_metrics(engines, observer)
-        return result
+        return results
 
     def _export_cache_metrics(
         self, engines: dict[str, ApproxEngine], observer: Observer
@@ -352,254 +372,6 @@ class ApproxIt:
         if self.char_cache is not None:
             for stat, value in self.char_cache.stats().items():
                 observer.metrics.gauge(f"char_cache.{stat}", value)
-
-    def _run_loop(
-        self,
-        policy: ReconfigurationStrategy,
-        budget: int,
-        epsilons: dict[str, float],
-        ledger: EnergyLedger,
-        engines: dict[str, ApproxEngine],
-        collect_traces: bool,
-        collect_history: bool,
-        observer: Observer | None,
-        capture: bool = False,
-    ) -> RunResult:
-        """The online loop of :meth:`run` (observer already bound)."""
-        mode = policy.start(self.bank, self.characterization())
-        x = self.method.postprocess(self.method.initial_state())
-        f_prev = self.method.objective(x)
-        # The exact gradient is control-loop telemetry for angle-based
-        # policies; strategies that never read it opt out and skip an
-        # O(nnz) exact matvec per iteration (results are unaffected).
-        grad_prev = self.method.gradient(x) if policy.needs_gradient else None
-
-        steps_by_mode = {m.name: 0 for m in self.bank}
-        mode_trace: list[str] = []
-        objective_trace: list[float] = []
-        history: list[IterationState] = []
-        rollbacks = 0
-        iterations = 0
-        converged = False
-        executed = 0
-
-        last_mode_name: str | None = None
-        while executed < budget:
-            switched = last_mode_name is not None and mode.name != last_mode_name
-            if switched and observer is not None:
-                observer.record(
-                    TraceEvent(
-                        "mode_switch",
-                        executed,
-                        mode.name,
-                        {"previous": last_mode_name},
-                    )
-                )
-            if self.switch_energy and switched:
-                # The reconfigurable device reloads its configuration
-                # latches whenever the selected level actually changes.
-                ledger.charge("reconfig", 1, self.switch_energy)
-                if observer is not None:
-                    observer.record(
-                        TraceEvent(
-                            "reconfig_charge",
-                            executed,
-                            mode.name,
-                            {"energy": self.switch_energy},
-                        )
-                    )
-            last_mode_name = mode.name
-            engine = engines[mode.name]
-            if capture:
-                # A reconfiguration is a structure-divergence point: the
-                # switched-to engine re-records rather than trusting a
-                # program captured under a different control regime.
-                if switched:
-                    engine.invalidate_program()
-                slots = {"x": x}
-                slots.update(self.method.replay_operands(x))
-                engine.begin_iteration(slots)
-            if observer is None:
-                d = self.method.direction(x, engine)
-                if capture:
-                    engine.bind_slot("d", d)
-                alpha = self.method.step_size(x, d, iterations)
-                x_new = self.method.postprocess(
-                    self.method.update(x, alpha, d, engine)
-                )
-                f_new = self.method.objective(x_new)
-            else:
-                with observer.metrics.time("direction"):
-                    d = self.method.direction(x, engine)
-                if capture:
-                    engine.bind_slot("d", d)
-                alpha = self.method.step_size(x, d, iterations)
-                with observer.metrics.time("update"):
-                    x_new = self.method.postprocess(
-                        self.method.update(x, alpha, d, engine)
-                    )
-                with observer.metrics.time("objective"):
-                    f_new = self.method.objective(x_new)
-            execution: str | None = None
-            if capture:
-                execution, bail_reason = engine.end_iteration()
-                if observer is not None:
-                    if execution == "captured":
-                        observer.metrics.inc("program.captures")
-                        observer.record(
-                            TraceEvent(
-                                "program_capture",
-                                executed,
-                                mode.name,
-                                {
-                                    "steps": (
-                                        len(engine.program)
-                                        if engine.program is not None
-                                        else 0
-                                    )
-                                },
-                            )
-                        )
-                    elif execution == "replayed":
-                        observer.metrics.inc("program.replays")
-                    if bail_reason is not None:
-                        observer.metrics.inc("program.bailouts")
-                        observer.record(
-                            TraceEvent(
-                                "program_bailout",
-                                executed,
-                                mode.name,
-                                {"reason": bail_reason},
-                            )
-                        )
-            grad_new = (
-                self.method.gradient(x_new) if policy.needs_gradient else None
-            )
-            executed += 1
-
-            tolerance_pass = self.method.converged(f_prev, f_new)
-            fixed_point = bool(np.array_equal(x_new, x))
-
-            obs = Observation(
-                iteration=executed - 1,
-                x_prev=x,
-                x_new=x_new,
-                f_prev=f_prev,
-                f_new=f_new,
-                grad_prev=grad_prev,
-                grad_new=grad_new,
-                mode=mode,
-                epsilon=epsilons[mode.name],
-                converged=tolerance_pass,
-            )
-            decision: Decision = policy.decide(obs)
-
-            if collect_traces:
-                mode_trace.append(mode.name)
-                objective_trace.append(f_new)
-
-            if decision.rollback and not fixed_point:
-                if observer is not None:
-                    detail = {
-                        "objective": f_new,
-                        "accepted": False,
-                        "reason": decision.reason,
-                    }
-                    if execution is not None:
-                        detail["execution"] = execution
-                    observer.record(
-                        TraceEvent("iteration", executed - 1, mode.name, detail)
-                    )
-                if capture:
-                    # The retried iteration starts from the same x on an
-                    # escalated mode; recorded saturation envelopes no
-                    # longer describe the regime, so every engine
-                    # re-records its next iteration.
-                    for eng in engines.values():
-                        eng.invalidate_program()
-                if mode.is_accurate and decision.mode.is_accurate:
-                    # Retrying the exact mode from the same state would
-                    # reproduce the same objective uptick forever: the
-                    # method sits at its numerical floor, which is as
-                    # converged as this datapath can get.
-                    converged = True
-                    break
-                rollbacks += 1
-                if observer is not None:
-                    observer.record(
-                        TraceEvent(
-                            "rollback",
-                            executed - 1,
-                            mode.name,
-                            {"next_mode": decision.mode.name},
-                        )
-                    )
-                mode = decision.mode
-                continue
-
-            # Iteration accepted.
-            iterations += 1
-            steps_by_mode[mode.name] += 1
-            if observer is not None:
-                detail = {
-                    "objective": f_new,
-                    "accepted": True,
-                    "reason": decision.reason,
-                }
-                if execution is not None:
-                    detail["execution"] = execution
-                observer.record(
-                    TraceEvent("iteration", executed - 1, mode.name, detail)
-                )
-            if collect_history:
-                history.append(
-                    IterationState(
-                        iteration=iterations - 1,
-                        x=np.asarray(x_new, dtype=np.float64).copy(),
-                        objective=f_new,
-                        mode_name=mode.name,
-                    )
-                )
-            x, f_prev, grad_prev = x_new, f_new, grad_new
-
-            if tolerance_pass or fixed_point:
-                if policy.verify_convergence and not mode.is_accurate:
-                    # Quality guarantee: a tolerance pass — or a datapath
-                    # fixed point the approximate mode cannot escape —
-                    # hands over to higher accuracy instead of being
-                    # accepted as an unverified stop.
-                    handed_from = mode
-                    mode = policy.on_premature_convergence(mode)
-                    if observer is not None:
-                        observer.record(
-                            TraceEvent(
-                                "convergence_handover",
-                                executed - 1,
-                                handed_from.name,
-                                {"next_mode": mode.name},
-                            )
-                        )
-                    continue
-                converged = True
-                break
-
-            mode = decision.mode
-
-        return RunResult(
-            x=x,
-            objective=f_prev,
-            iterations=iterations,
-            rollbacks=rollbacks,
-            converged=converged,
-            hit_max_iter=not converged,
-            steps_by_mode=steps_by_mode,
-            energy=ledger.energy,
-            energy_by_mode=dict(ledger.energy_by_mode),
-            strategy_name=policy.name,
-            mode_trace=mode_trace,
-            objective_trace=objective_trace,
-            history=history,
-        )
 
     def run_truth(
         self, max_iter: int | None = None, observer: Observer | None = None
@@ -645,8 +417,9 @@ class ApproxIt:
         active set and is charged nothing further.
 
         Per-lane results are bit-identical to ``self.run(strategy)``
-        solo runs and per-lane energy ledgers exactly equal — the solo
-        path is the regression oracle (see ``tests/core/
+        solo runs and per-lane energy ledgers exactly equal — both go
+        through the same online loop, a solo run being a one-lane group,
+        and the solo path is the regression oracle (see ``tests/core/
         test_batched_parity.py``); ``run_batch`` only amortizes Python
         and kernel-dispatch overhead across lanes.
 
@@ -665,10 +438,9 @@ class ApproxIt:
                 each mode group and replay it over the stacked lanes on
                 later iterations — per-lane results stay bit-identical
                 and ledgers float-equal, the same contract as solo
-                capture.  ``None`` (default) takes
-                :attr:`default_program_capture`; only adapters declaring
-                ``replayable`` capture (CG's mid-iteration lane
-                sub-selection keeps it interpreted).
+                capture.  ``None`` (default) or ``True`` captures; only
+                adapters declaring ``replayable`` capture (CG's
+                mid-iteration lane sub-selection keeps it interpreted).
 
         Returns:
             One :class:`RunResult` per lane, in ``strategies`` order.
@@ -698,401 +470,420 @@ class ApproxIt:
                     "instances (or spec strings)"
                 )
             seen_ids.add(id(policy))
-        budget = self.method.max_iter if max_iter is None else int(max_iter)
-        characterization = self.characterization()
-        epsilons = characterization.epsilons()
-
         capture = (
-            self.default_program_capture
-            if program_capture is None
-            else bool(program_capture)
-        ) and bool(getattr(kernels, "replayable", False))
-        engine_cls = BatchedProgramEngine if capture else BatchedEngine
-        ledger = BatchedEnergyLedger(lanes, observer=observer)
-        engines = {
-            mode.name: engine_cls(mode, self.fmt, ledger)
-            for mode in self.bank
-        }
+            program_capture is None or bool(program_capture)
+        ) and kernels.replayable
         lane_observers: list[Observer | None] = [None] * lanes
         if observer is not None:
             lane_observers = [LaneObserver(observer, i) for i in range(lanes)]
-        for policy, lane_observer in zip(policies, lane_observers):
-            policy.bind_observer(lane_observer)
-        try:
-            results = self._run_batch_loop(
-                kernels,
-                policies,
-                budget,
-                epsilons,
-                ledger,
-                engines,
-                collect_traces,
-                collect_history,
-                observer,
-                lane_observers,
-                capture,
-            )
-        finally:
-            for policy in policies:
-                policy.bind_observer(None)
-        if observer is not None:
-            self._export_cache_metrics(engines, observer)
-        return results
+        return self._online(
+            policies,
+            lane_observers,
+            BatchedProgramEngine if capture else BatchedEngine,
+            BatchedEnergyLedger(lanes, observer=observer),
+            kernels=kernels,
+            capture=capture,
+            max_iter=max_iter,
+            collect_traces=collect_traces,
+            collect_history=collect_history,
+            observer=observer,
+        )
 
-    def _run_batch_loop(
+
+class _Lane:
+    """One run's state in the online loop (a solo run is one lane)."""
+
+    __slots__ = (
+        "index",
+        "policy",
+        "observer",
+        "mode",
+        "last_mode",
+        "x",
+        "f",
+        "grad",
+        "executed",
+        "iterations",
+        "rollbacks",
+        "converged",
+        "done",
+        "steps_by_mode",
+        "mode_trace",
+        "objective_trace",
+        "history",
+    )
+
+    def __init__(self, index, policy, observer, mode, x, f, grad, bank, done):
+        self.index = index
+        self.policy = policy
+        #: The run's observer (solo), a LaneObserver (batch) or None.
+        self.observer = observer
+        self.mode = mode
+        self.last_mode: str | None = None
+        self.x, self.f, self.grad = x, f, grad
+        self.executed = 0
+        self.iterations = 0
+        self.rollbacks = 0
+        self.converged = False
+        self.done = done
+        self.steps_by_mode = {m.name: 0 for m in bank}
+        self.mode_trace: list[str] = []
+        self.objective_trace: list[float] = []
+        self.history: list[IterationState] = []
+
+
+class _OnlineLoop:
+    """The online loop of one :meth:`ApproxIt.run` (``kernels=None``) or
+    :meth:`ApproxIt.run_batch` call.
+
+    Each pass groups the live lanes by mode, in lane order.  Per group
+    it reports mode switches and charges their reconfiguration energy,
+    runs one step — the method's own ``direction`` / ``update`` for a
+    solo run, the stacked :class:`~repro.solvers.batched.BatchedKernels`
+    for a batch — and settles every lane of the group in order.  A solo
+    run is the one-lane case of the same loop, so the two paths make the
+    same decisions, charges and events.
+
+    With ``capture`` on, each mode's engine records its first iteration
+    and replays it thereafter.  A rollback invalidates every engine's
+    program; a mode switch does not (it selects that mode's own engine
+    and program), and neither does a lane group recomposing, because
+    batched steps validate per-lane trailing dims only and charge in
+    lane-count-independent units.
+    """
+
+    def __init__(
         self,
+        framework: ApproxIt,
+        engines: dict,
+        ledger,
+        *,
         kernels,
-        policies: list[ReconfigurationStrategy],
+        capture: bool,
         budget: int,
         epsilons: dict[str, float],
-        ledger: BatchedEnergyLedger,
-        engines: dict[str, BatchedEngine],
         collect_traces: bool,
         collect_history: bool,
         observer: Observer | None,
-        lane_observers: list[Observer | None],
-        capture: bool = False,
-    ) -> list[RunResult]:
-        """The lane-parallel online loop of :meth:`run_batch`.
+    ):
+        self.method = framework.method
+        self.bank = framework.bank
+        self.switch_energy = framework.switch_energy
+        self.engines = engines
+        self.ledger = ledger
+        self.kernels = kernels
+        self.capture = capture
+        self.budget = budget
+        self.epsilons = epsilons
+        self.collect_traces = collect_traces
+        self.collect_history = collect_history
+        self.observer = observer
+        self.timer = observer.metrics.time if observer is not None else nullcontext
 
-        Per-lane control flow replicates :meth:`_run_loop` decision for
-        decision; only the ``direction`` / ``update`` kernel calls are
-        shared, stacked per mode group.  With ``capture`` on, each mode
-        group's engine records its first lock-step iteration and
-        replays it thereafter — group recomposition (lanes converging
-        out, switching in, or the final remainder group shrinking) does
-        *not* invalidate a program, because the compiled steps validate
-        per-lane trailing dims only and charge in lane-count-independent
-        units; a rollback invalidates every engine's program, mirroring
-        the solo loop.
-        """
-        lanes = len(policies)
+    def drive(
+        self,
+        policies: list[ReconfigurationStrategy],
+        lane_observers: list[Observer | None],
+        characterization: CharacterizationTable,
+    ) -> list[RunResult]:
+        """Start every lane's policy, loop until every lane is done, and
+        return one :class:`RunResult` per lane."""
         method = self.method
-        modes = [policy.start(self.bank, self.characterization()) for policy in policies]
+        modes = [policy.start(self.bank, characterization) for policy in policies]
         x0 = method.postprocess(method.initial_state())
         f0 = method.objective(x0)
-        # Per-lane gradient telemetry opt-out, mirroring the solo loop.
+        # The exact gradient is control-loop telemetry for angle-based
+        # policies; strategies that never read it opt out and skip an
+        # O(nnz) exact matvec per iteration (results are unaffected).
         g0 = (
             method.gradient(x0)
             if any(policy.needs_gradient for policy in policies)
             else None
         )
-
-        xs = [np.asarray(x0, dtype=np.float64).copy() for _ in range(lanes)]
-        f_prev = [f0] * lanes
-        grad_prev = [g0 if policy.needs_gradient else None for policy in policies]
-        steps_by_mode = [{m.name: 0 for m in self.bank} for _ in range(lanes)]
-        mode_trace: list[list[str]] = [[] for _ in range(lanes)]
-        objective_trace: list[list[float]] = [[] for _ in range(lanes)]
-        history: list[list[IterationState]] = [[] for _ in range(lanes)]
-        rollbacks = [0] * lanes
-        iterations = [0] * lanes
-        converged = [False] * lanes
-        executed = [0] * lanes
-        done = [budget <= 0] * lanes
-        last_mode: list[str | None] = [None] * lanes
-
-        while True:
-            active = [i for i in range(lanes) if not done[i]]
-            if not active:
-                break
-            groups: dict[str, list[int]] = {}
-            for i in active:
-                groups.setdefault(modes[i].name, []).append(i)
-            for mode_name, group in groups.items():
-                mode = self.bank.by_name(mode_name)
-                engine = engines[mode_name]
-                ids = np.asarray(group, dtype=np.int64)
-                switch_ids = [
-                    i
-                    for i in group
-                    if last_mode[i] is not None and last_mode[i] != mode_name
-                ]
-                if observer is not None:
-                    for i in switch_ids:
-                        observer.record(
-                            TraceEvent(
-                                "mode_switch",
-                                executed[i],
-                                mode_name,
-                                {"previous": last_mode[i], "lane": i},
-                            )
-                        )
-                if self.switch_energy and switch_ids:
-                    ledger.charge_lanes(
-                        "reconfig",
-                        np.asarray(switch_ids, dtype=np.int64),
-                        1,
-                        self.switch_energy,
-                    )
-                    if observer is not None:
-                        for i in switch_ids:
-                            observer.record(
-                                TraceEvent(
-                                    "reconfig_charge",
-                                    executed[i],
-                                    mode_name,
-                                    {"energy": self.switch_energy, "lane": i},
-                                )
-                            )
-                for i in group:
-                    last_mode[i] = mode_name
-                engine.select_lanes(ids)
-                X = np.stack([xs[i] for i in group])
-                if capture:
-                    slots = {"X": X}
-                    slots.update(kernels.replay_slots(X))
-                    engine.begin_iteration(slots)
-                if observer is None:
-                    D = kernels.direction(X, ids, engine)
-                    if capture:
-                        engine.bind_slot("D", D)
-                    alphas = np.array(
-                        [
-                            method.step_size(X[row], D[row], iterations[i])
-                            for row, i in enumerate(group)
-                        ]
-                    )
-                    X_new = kernels.update(X, alphas, D, ids, engine)
-                else:
-                    with observer.metrics.time("direction"):
-                        D = kernels.direction(X, ids, engine)
-                    if capture:
-                        engine.bind_slot("D", D)
-                    alphas = np.array(
-                        [
-                            method.step_size(X[row], D[row], iterations[i])
-                            for row, i in enumerate(group)
-                        ]
-                    )
-                    with observer.metrics.time("update"):
-                        X_new = kernels.update(X, alphas, D, ids, engine)
-                execution: str | None = None
-                if capture:
-                    execution, bail_reason = engine.end_iteration()
-                    if observer is not None:
-                        if execution == "captured":
-                            observer.metrics.inc("program.captures")
-                            observer.metrics.inc(
-                                f"program.group.{mode_name}.captures"
-                            )
-                            steps_n = (
-                                len(engine.program)
-                                if engine.program is not None
-                                else 0
-                            )
-                            for i in group:
-                                lane_observers[i].record(
-                                    TraceEvent(
-                                        "program_capture",
-                                        executed[i],
-                                        mode_name,
-                                        {"steps": steps_n, "lanes": len(group)},
-                                    )
-                                )
-                        elif execution == "replayed":
-                            observer.metrics.inc("program.replays")
-                            observer.metrics.inc(
-                                f"program.group.{mode_name}.replays"
-                            )
-                        if bail_reason is not None:
-                            observer.metrics.inc("program.bailouts")
-                            observer.metrics.inc(
-                                "program.lane_bailouts", len(group)
-                            )
-                            for i in group:
-                                lane_observers[i].record(
-                                    TraceEvent(
-                                        "program_bailout",
-                                        executed[i],
-                                        mode_name,
-                                        {
-                                            "reason": bail_reason,
-                                            "lanes": len(group),
-                                        },
-                                    )
-                                )
-
-                for row, i in enumerate(group):
-                    x_new = method.postprocess(X_new[row].copy())
-                    if observer is None:
-                        f_new = method.objective(x_new)
-                    else:
-                        with observer.metrics.time("objective"):
-                            f_new = method.objective(x_new)
-                    grad_new = (
-                        method.gradient(x_new)
-                        if policies[i].needs_gradient
-                        else None
-                    )
-                    executed[i] += 1
-
-                    tolerance_pass = method.converged(f_prev[i], f_new)
-                    fixed_point = bool(np.array_equal(x_new, xs[i]))
-
-                    obs = Observation(
-                        iteration=executed[i] - 1,
-                        x_prev=xs[i],
-                        x_new=x_new,
-                        f_prev=f_prev[i],
-                        f_new=f_new,
-                        grad_prev=grad_prev[i],
-                        grad_new=grad_new,
-                        mode=mode,
-                        epsilon=epsilons[mode_name],
-                        converged=tolerance_pass,
-                    )
-                    decision: Decision = policies[i].decide(obs)
-                    lane_observer = lane_observers[i]
-
-                    if collect_traces:
-                        mode_trace[i].append(mode_name)
-                        objective_trace[i].append(f_new)
-
-                    if decision.rollback and not fixed_point:
-                        if lane_observer is not None:
-                            detail = {
-                                "objective": f_new,
-                                "accepted": False,
-                                "reason": decision.reason,
-                            }
-                            if execution is not None:
-                                detail["execution"] = execution
-                            lane_observer.record(
-                                TraceEvent(
-                                    "iteration",
-                                    executed[i] - 1,
-                                    mode_name,
-                                    detail,
-                                )
-                            )
-                        if capture:
-                            # Mirror the solo loop: the retried iteration
-                            # starts from the same X on an escalated
-                            # mode, so recorded saturation envelopes no
-                            # longer describe the regime — every engine
-                            # re-records its next lock-step iteration.
-                            for eng in engines.values():
-                                eng.invalidate_program()
-                        if mode.is_accurate and decision.mode.is_accurate:
-                            converged[i] = True
-                            done[i] = True
-                        else:
-                            rollbacks[i] += 1
-                            if lane_observer is not None:
-                                lane_observer.record(
-                                    TraceEvent(
-                                        "rollback",
-                                        executed[i] - 1,
-                                        mode_name,
-                                        {"next_mode": decision.mode.name},
-                                    )
-                                )
-                            modes[i] = decision.mode
-                    else:
-                        # Iteration accepted.
-                        iterations[i] += 1
-                        steps_by_mode[i][mode_name] += 1
-                        if lane_observer is not None:
-                            detail = {
-                                "objective": f_new,
-                                "accepted": True,
-                                "reason": decision.reason,
-                            }
-                            if execution is not None:
-                                detail["execution"] = execution
-                            lane_observer.record(
-                                TraceEvent(
-                                    "iteration",
-                                    executed[i] - 1,
-                                    mode_name,
-                                    detail,
-                                )
-                            )
-                        if collect_history:
-                            history[i].append(
-                                IterationState(
-                                    iteration=iterations[i] - 1,
-                                    x=x_new.copy(),
-                                    objective=f_new,
-                                    mode_name=mode_name,
-                                )
-                            )
-                        xs[i], f_prev[i], grad_prev[i] = x_new, f_new, grad_new
-
-                        if tolerance_pass or fixed_point:
-                            if (
-                                policies[i].verify_convergence
-                                and not mode.is_accurate
-                            ):
-                                next_mode = policies[i].on_premature_convergence(
-                                    mode
-                                )
-                                if lane_observer is not None:
-                                    lane_observer.record(
-                                        TraceEvent(
-                                            "convergence_handover",
-                                            executed[i] - 1,
-                                            mode_name,
-                                            {"next_mode": next_mode.name},
-                                        )
-                                    )
-                                modes[i] = next_mode
-                            else:
-                                converged[i] = True
-                                done[i] = True
-                        else:
-                            modes[i] = decision.mode
-
-                    if not done[i] and executed[i] >= budget:
-                        done[i] = True
-
-        return [
-            self._lane_result(
+        lanes = [
+            _Lane(
                 i,
-                policies[i],
-                ledger,
-                xs[i],
-                f_prev[i],
-                iterations[i],
-                rollbacks[i],
-                converged[i],
-                steps_by_mode[i],
-                mode_trace[i],
-                objective_trace[i],
-                history[i],
+                policy,
+                lane_observer,
+                mode,
+                x0 if self.kernels is None else np.asarray(x0, dtype=np.float64).copy(),
+                f0,
+                g0 if policy.needs_gradient else None,
+                self.bank,
+                self.budget <= 0,
             )
-            for i in range(lanes)
+            for i, (policy, lane_observer, mode) in enumerate(
+                zip(policies, lane_observers, modes)
+            )
         ]
+        step = self._solo_step if self.kernels is None else self._batched_step
+        while True:
+            groups: dict[str, list[_Lane]] = {}
+            for lane in lanes:
+                if not lane.done:
+                    groups.setdefault(lane.mode.name, []).append(lane)
+            if not groups:
+                break
+            for mode_name, group in groups.items():
+                self._switch(mode_name, group)
+                execution, x_news = step(self.engines[mode_name], group)
+                for lane, x_new in zip(group, x_news):
+                    with self.timer("objective"):
+                        f_new = method.objective(x_new)
+                    grad_new = (
+                        method.gradient(x_new) if lane.policy.needs_gradient else None
+                    )
+                    rolled_back = self.settle(lane, x_new, f_new, grad_new, execution)
+                    if rolled_back and self.capture:
+                        # The retried iteration starts from the same x on
+                        # an escalated mode; recorded saturation envelopes
+                        # no longer describe the regime, so every engine
+                        # re-records its next iteration.
+                        for engine in self.engines.values():
+                            engine.invalidate_program()
+        return [self._result(lane) for lane in lanes]
 
-    @staticmethod
-    def _lane_result(
-        lane: int,
-        policy: ReconfigurationStrategy,
-        ledger: BatchedEnergyLedger,
-        x: np.ndarray,
-        objective: float,
-        iterations: int,
-        rollbacks: int,
-        converged: bool,
-        steps_by_mode: dict[str, int],
-        mode_trace: list[str],
-        objective_trace: list[float],
-        history: list[IterationState],
-    ) -> RunResult:
-        lane_ledger = ledger.lane_ledger(lane)
+    def _switch(self, mode_name: str, group: list[_Lane]) -> None:
+        """Report the lanes of ``group`` arriving on ``mode_name`` from
+        another mode and charge their reconfiguration."""
+        switched = [
+            lane
+            for lane in group
+            if lane.last_mode is not None and lane.last_mode != mode_name
+        ]
+        for lane in switched:
+            if lane.observer is not None:
+                lane.observer.record(
+                    TraceEvent(
+                        "mode_switch",
+                        lane.executed,
+                        mode_name,
+                        {"previous": lane.last_mode},
+                    )
+                )
+        if self.switch_energy and switched:
+            # The reconfigurable device reloads its configuration
+            # latches whenever the selected level actually changes.
+            if self.kernels is None:
+                self.ledger.charge("reconfig", 1, self.switch_energy)
+            else:
+                ids = np.asarray([lane.index for lane in switched], dtype=np.int64)
+                self.ledger.charge_lanes("reconfig", ids, 1, self.switch_energy)
+            for lane in switched:
+                if lane.observer is not None:
+                    lane.observer.record(
+                        TraceEvent(
+                            "reconfig_charge",
+                            lane.executed,
+                            mode_name,
+                            {"energy": self.switch_energy},
+                        )
+                    )
+        for lane in group:
+            lane.last_mode = mode_name
+
+    def _solo_step(self, engine, group: list[_Lane]):
+        """One iteration of the solo lane through the method's own
+        ``direction`` / ``update``; returns ``(execution, (x_new,))``."""
+        (lane,) = group
+        method = self.method
+        x = lane.x
+        if self.capture:
+            engine.begin_iteration({"x": x, **method.replay_operands(x)})
+        with self.timer("direction"):
+            d = method.direction(x, engine)
+        if self.capture:
+            engine.bind_slot("d", d)
+        alpha = method.step_size(x, d, lane.iterations)
+        with self.timer("update"):
+            x_new = method.postprocess(method.update(x, alpha, d, engine))
+        return self._end_iteration(engine, group), (x_new,)
+
+    def _batched_step(self, engine, group: list[_Lane]):
+        """One lock-step iteration of a mode group through the stacked
+        kernels; returns ``(execution, x_news)`` with the per-lane
+        iterates post-processed lazily, in lane order."""
+        method, kernels = self.method, self.kernels
+        ids = np.asarray([lane.index for lane in group], dtype=np.int64)
+        engine.select_lanes(ids)
+        X = np.stack([lane.x for lane in group])
+        if self.capture:
+            engine.begin_iteration({"X": X, **kernels.replay_slots(X)})
+        with self.timer("direction"):
+            D = kernels.direction(X, ids, engine)
+        if self.capture:
+            engine.bind_slot("D", D)
+        alphas = np.array(
+            [
+                method.step_size(X[row], D[row], lane.iterations)
+                for row, lane in enumerate(group)
+            ]
+        )
+        with self.timer("update"):
+            X_new = kernels.update(X, alphas, D, ids, engine)
+        x_news = (method.postprocess(X_new[row].copy()) for row in range(len(group)))
+        return self._end_iteration(engine, group), x_news
+
+    def _end_iteration(self, engine, group: list[_Lane]) -> str | None:
+        """Close a captured iteration window and report it to the
+        observer; ``None`` when capture is off.
+
+        A solo run's program events carry no ``lanes`` count and it
+        keeps no ``program.group.*`` metrics; a batch reports one event
+        per lane of the group.
+        """
+        if not self.capture:
+            return None
+        execution, reason = engine.end_iteration()
+        if self.observer is None:
+            return execution
+        metrics = self.observer.metrics
+        mode_name = engine.mode.name
+        batched = self.kernels is not None
+        group_size = {"lanes": len(group)} if batched else {}
+        if execution == "captured":
+            metrics.inc("program.captures")
+            if batched:
+                metrics.inc(f"program.group.{mode_name}.captures")
+            steps = len(engine.program) if engine.program is not None else 0
+            for lane in group:
+                lane.observer.record(
+                    TraceEvent(
+                        "program_capture",
+                        lane.executed,
+                        mode_name,
+                        {"steps": steps, **group_size},
+                    )
+                )
+        elif execution == "replayed":
+            metrics.inc("program.replays")
+            if batched:
+                metrics.inc(f"program.group.{mode_name}.replays")
+        if reason is not None:
+            metrics.inc("program.bailouts")
+            if batched:
+                metrics.inc("program.lane_bailouts", len(group))
+            for lane in group:
+                lane.observer.record(
+                    TraceEvent(
+                        "program_bailout",
+                        lane.executed,
+                        mode_name,
+                        {"reason": reason, **group_size},
+                    )
+                )
+        return execution
+
+    def settle(self, lane: _Lane, x_new, f_new, grad_new, execution) -> bool:
+        """Observe one executed iteration of ``lane``, let its strategy
+        decide, and accept it or roll it back.
+
+        Returns whether the iteration rolled back.
+        """
+        mode, policy, observer = lane.mode, lane.policy, lane.observer
+        iteration = lane.executed
+        lane.executed += 1
+        tolerance_pass = self.method.converged(lane.f, f_new)
+        fixed_point = bool(np.array_equal(x_new, lane.x))
+        decision: Decision = policy.decide(
+            Observation(
+                iteration=iteration,
+                x_prev=lane.x,
+                x_new=x_new,
+                f_prev=lane.f,
+                f_new=f_new,
+                grad_prev=lane.grad,
+                grad_new=grad_new,
+                mode=mode,
+                epsilon=self.epsilons[mode.name],
+                converged=tolerance_pass,
+            )
+        )
+        if self.collect_traces:
+            lane.mode_trace.append(mode.name)
+            lane.objective_trace.append(f_new)
+        rolled_back = decision.rollback and not fixed_point
+        if observer is not None:
+            detail = {
+                "objective": f_new,
+                "accepted": not rolled_back,
+                "reason": decision.reason,
+            }
+            if execution is not None:
+                detail["execution"] = execution
+            observer.record(TraceEvent("iteration", iteration, mode.name, detail))
+
+        if rolled_back:
+            if mode.is_accurate and decision.mode.is_accurate:
+                # Retrying the exact mode from the same state would
+                # reproduce the same objective uptick forever: the
+                # method sits at its numerical floor, which is as
+                # converged as this datapath can get.
+                lane.converged = lane.done = True
+            else:
+                lane.rollbacks += 1
+                if observer is not None:
+                    observer.record(
+                        TraceEvent(
+                            "rollback",
+                            iteration,
+                            mode.name,
+                            {"next_mode": decision.mode.name},
+                        )
+                    )
+                lane.mode = decision.mode
+        else:
+            lane.iterations += 1
+            lane.steps_by_mode[mode.name] += 1
+            if self.collect_history:
+                lane.history.append(
+                    IterationState(
+                        iteration=lane.iterations - 1,
+                        x=np.asarray(x_new, dtype=np.float64).copy(),
+                        objective=f_new,
+                        mode_name=mode.name,
+                    )
+                )
+            lane.x, lane.f, lane.grad = x_new, f_new, grad_new
+            if not (tolerance_pass or fixed_point):
+                lane.mode = decision.mode
+            elif policy.verify_convergence and not mode.is_accurate:
+                # Quality guarantee: a tolerance pass — or a datapath
+                # fixed point the approximate mode cannot escape —
+                # hands over to higher accuracy instead of being
+                # accepted as an unverified stop.
+                lane.mode = policy.on_premature_convergence(mode)
+                if observer is not None:
+                    observer.record(
+                        TraceEvent(
+                            "convergence_handover",
+                            iteration,
+                            mode.name,
+                            {"next_mode": lane.mode.name},
+                        )
+                    )
+            else:
+                lane.converged = lane.done = True
+        if lane.executed >= self.budget:
+            lane.done = True
+        return rolled_back
+
+    def _result(self, lane: _Lane) -> RunResult:
+        ledger = self.ledger
+        if self.kernels is not None:
+            ledger = ledger.lane_ledger(lane.index)
         return RunResult(
-            x=x,
-            objective=objective,
-            iterations=iterations,
-            rollbacks=rollbacks,
-            converged=converged,
-            hit_max_iter=not converged,
-            steps_by_mode=steps_by_mode,
-            energy=lane_ledger.energy,
-            energy_by_mode=dict(lane_ledger.energy_by_mode),
-            strategy_name=policy.name,
-            mode_trace=mode_trace,
-            objective_trace=objective_trace,
-            history=history,
+            x=lane.x,
+            objective=lane.f,
+            iterations=lane.iterations,
+            rollbacks=lane.rollbacks,
+            converged=lane.converged,
+            hit_max_iter=not lane.converged,
+            steps_by_mode=lane.steps_by_mode,
+            energy=ledger.energy,
+            energy_by_mode=dict(ledger.energy_by_mode),
+            strategy_name=lane.policy.name,
+            mode_trace=lane.mode_trace,
+            objective_trace=lane.objective_trace,
+            history=lane.history,
         )

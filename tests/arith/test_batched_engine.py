@@ -235,6 +235,17 @@ class TestBatchedEngineErrors:
         with pytest.raises(ValueError, match="at least one lane"):
             engine.select_lanes(np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize(
+        "ids", [[-1], [0, 0], [5]], ids=["negative", "repeated", "past-end"]
+    )
+    def test_bad_lane_ids_rejected_before_any_charge(self, bank32, fmt32, ids):
+        ledger = BatchedEnergyLedger(3)
+        engine = BatchedEngine(bank32.by_name("level2"), fmt32, ledger)
+        with pytest.raises(ValueError, match=r"distinct lane ids in \[0, 3\)"):
+            engine.select_lanes(ids)
+        assert engine.lane_ids is None
+        np.testing.assert_array_equal(ledger.adds, np.zeros(3, dtype=np.int64))
+
     def test_lane_count_mismatch_rejected(self, bank32, fmt32):
         engine = BatchedEngine(bank32.accurate, fmt32, BatchedEnergyLedger(3))
         engine.select_lanes(np.array([0, 1, 2]))

@@ -18,6 +18,7 @@ import pytest
 
 from repro.apps import GaussianMixtureEM
 from repro.core.framework import ApproxIt
+from repro.core.strategies import IncrementalStrategy
 from repro.obs import TraceRecorder, render_trace, summarize_trace
 from repro.solvers import (
     ConjugateGradient,
@@ -220,6 +221,66 @@ class TestBatchTracing:
         batch_summary = summarize_trace(recorder.events, lane=0)
         solo_summary = summarize_trace(solo_recorder.events)
         assert batch_summary == solo_summary
+
+    @pytest.mark.parametrize("capture", [False, True])
+    def test_lane_event_stream_equals_solo_event_stream(self, capture):
+        """Each lane's events, with the lane tag dropped, are exactly
+        the events of that lane's solo run.  The lanes cover every
+        control event kind; with capture on, program events and
+        execution tags are dropped because a lane group captures and
+        replays on a different schedule than a solo run."""
+        rng = np.random.default_rng(0)
+        n = 16
+        A = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
+        b = rng.uniform(-5.0, 5.0, n)
+        framework = ApproxIt(JacobiSolver(A, b, max_iter=150), switch_energy=0.25)
+        lane_specs = [
+            lambda: "incremental",
+            lambda: IncrementalStrategy(use_quality_scheme=False),
+            lambda: "truth",
+            lambda: "static:level2",
+            lambda: "adaptive",
+        ]
+
+        def stream(events, lane=None):
+            out = []
+            for event in events:
+                if capture and event.kind.startswith("program_"):
+                    continue
+                payload = event.to_dict()
+                detail = payload.get("detail", {})
+                if lane is not None:
+                    if detail.get("lane") != lane:
+                        continue
+                    del detail["lane"]
+                if capture:
+                    detail.pop("execution", None)
+                    detail.pop("lanes", None)
+                out.append(payload)
+            return out
+
+        recorder = TraceRecorder(label="batch")
+        framework.run_batch(
+            [make() for make in lane_specs],
+            observer=recorder,
+            program_capture=capture,
+        )
+        kinds = set()
+        for lane, make in enumerate(lane_specs):
+            solo = TraceRecorder(label="solo")
+            framework.run(make(), observer=solo, program_capture=capture)
+            expected = stream(solo.events)
+            assert stream(recorder.events, lane) == expected
+            kinds.update(payload["kind"] for payload in expected)
+        assert kinds == {
+            "iteration",
+            "scheme_fired",
+            "mode_switch",
+            "reconfig_charge",
+            "lut_refresh",
+            "rollback",
+            "convergence_handover",
+        }
 
     def test_render_trace_lane_filter(self):
         framework = _jacobi_framework()

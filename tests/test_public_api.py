@@ -84,6 +84,11 @@ def test_benchmark_tracer_wraps_and_restores_the_program_surface():
     tracer.install()
     patches = list(tracer._patches)
     try:
+        # A method wrapped twice (e.g. an engine op on a base class both
+        # program engines share) would count every call in two layers.
+        pairs = [(owner, attr) for owner, attr, _ in patches]
+        doubled = {pair for pair in pairs if pairs.count(pair) > 1}
+        assert not doubled, f"wrapped more than once: {sorted(map(str, doubled))}"
         for owner, attr, original in patches:
             assert vars(owner)[attr] is not original, f"{owner}.{attr} not wrapped"
         wrapped_kernels = {attr for owner, attr, _ in patches if owner is KernelBackend}
