@@ -2,9 +2,9 @@
 
 Unlike the reproduction benchmarks one directory up (which assert the
 paper's claims), this suite times the *implementation*: vectorized adder
-kernels against their bit-serial references, the fixed-point-resident
-engine against the legacy float-round-trip execution, and one end-to-end
-ApproxIt run.  Every measurement is appended to ``BENCH_perf.json`` at
+kernels against their bit-serial references, the production engines
+against the spec engine (:class:`repro.arith.reference.ReferenceEngine`),
+and end-to-end ApproxIt runs.  Every measurement is appended to ``BENCH_perf.json`` at
 the repo root when the session ends, so perf changes leave a tracked
 artifact next to the code that caused them.
 
@@ -15,6 +15,7 @@ Run with::
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import platform
@@ -24,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from repro.arith.reference import ReferenceEngine
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BENCH_PATH = REPO_ROOT / "BENCH_perf.json"
@@ -97,3 +100,22 @@ def perf():
     yield recorder
     if recorder.entries:
         recorder.write()
+
+
+@pytest.fixture()
+def reference_run():
+    """``reference_run(framework, strategy)``: one solve with every
+    engine on :class:`ReferenceEngine` — the online loop and any offline
+    characterization it runs — and program capture off.  The baseline
+    side of the end-to-end ratios."""
+
+    def run(framework, strategy):
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("repro.core.framework", "repro.core.characterize"):
+                # importlib: ``repro.core.characterize`` as an attribute
+                # of ``repro.core`` is the re-exported function.
+                module = importlib.import_module(name)
+                patch.setattr(module, "ApproxEngine", ReferenceEngine)
+            return framework.run(strategy, program_capture=False)
+
+    return run

@@ -5,8 +5,8 @@ encodings (constant matrices/vectors encode once per engine), per-shape
 reduction plans (tree shape and odd-tail buffers computed once), and the
 disk-backed characterization cache (the offline stage runs once per
 content address).  Each benchmark times warm against cold — or cached
-against the uncached fast path — and asserts the results stay
-bit-identical, because every cache here is a pure memo.
+against the uncached engine or the reference engine — and asserts the
+results stay bit-identical, because every cache here is a pure memo.
 """
 
 import numpy as np
@@ -15,6 +15,7 @@ import pytest
 from repro.arith.engine import ApproxEngine, EnergyLedger
 from repro.arith.fixed import FixedPointFormat
 from repro.arith.modes import default_mode_bank
+from repro.arith.reference import ReferenceEngine
 
 
 @pytest.fixture(scope="module")
@@ -22,12 +23,9 @@ def bank():
     return default_mode_bank(32)
 
 
-def _engine(bank, fast_path=True):
+def _engine(bank):
     return ApproxEngine(
-        bank.by_name("level2"),
-        FixedPointFormat(32, 16),
-        EnergyLedger(),
-        fast_path=fast_path,
+        bank.by_name("level2"), FixedPointFormat(32, 16), EnergyLedger()
     )
 
 
@@ -80,19 +78,15 @@ def test_planned_reduce_reuse(perf, bank):
     alive across calls.
     """
     fast = _engine(bank)
-    legacy = _engine(bank, fast_path=False)
+    legacy = ReferenceEngine(fast.mode, fast.fmt, EnergyLedger())
     rng = np.random.default_rng(8)
     q = fast.fmt.encode(rng.uniform(-10.0, 10.0, size=(101, 32)))
 
-    np.testing.assert_array_equal(
-        fast._reduce_words(q), legacy._reduce_words_concat(q)
-    )
+    np.testing.assert_array_equal(fast._reduce_words(q), legacy._reduce(q))
     fast._reduce_words(q)  # plan built; time the steady state
 
     t_fast = perf.time(lambda: fast._reduce_words(q), repeats=15, number=10)
-    t_legacy = perf.time(
-        lambda: legacy._reduce_words_concat(q), repeats=15, number=10
-    )
+    t_legacy = perf.time(lambda: legacy._reduce(q), repeats=15, number=10)
     speedup = t_legacy / t_fast
     perf.record(
         "engine/planned_reduce_101x32",

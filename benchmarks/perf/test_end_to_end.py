@@ -2,9 +2,9 @@
 
 One Jacobi system under the incremental strategy, executed three ways:
 
-* ``ApproxEngine.default_fast_path`` on (the shipped engine) vs off (the
-  literal pre-optimization engine) — identical results and energy, only
-  the wall clock may differ;
+* the shipped engine vs :class:`~repro.arith.reference.ReferenceEngine`
+  (the spec engine, offline characterization included) — identical
+  results and energy, only the wall clock may differ;
 * the shipped engine with a *warm* disk-backed characterization cache vs
   without one — the offline stage dominates a fresh run (it probes every
   mode of the bank), so a cache hit is where the end-to-end win lives.
@@ -13,35 +13,32 @@ One Jacobi system under the incremental strategy, executed three ways:
 import numpy as np
 import pytest
 
-from repro.arith.engine import ApproxEngine
 from repro.core.characterize import CharacterizationCache
 from repro.core.framework import ApproxIt
 from repro.solvers.linear import JacobiSolver
 
 
-def _run_incremental(char_cache=None):
+def _framework(char_cache=None):
     rng = np.random.default_rng(17)
     n = 80
     matrix = rng.uniform(-1.0, 1.0, size=(n, n))
     matrix += np.diag(np.abs(matrix).sum(axis=1) + 1.0)
     rhs = rng.uniform(-5.0, 5.0, size=n)
-    framework = ApproxIt(
-        JacobiSolver(matrix, rhs, max_iter=120), char_cache=char_cache
-    )
-    return framework.run(strategy="incremental")
+    return ApproxIt(JacobiSolver(matrix, rhs, max_iter=120), char_cache=char_cache)
 
 
-def test_incremental_jacobi_fast_vs_legacy(perf):
-    saved = ApproxEngine.default_fast_path
-    try:
-        ApproxEngine.default_fast_path = True
-        fast_run = _run_incremental()
-        t_fast = perf.time(_run_incremental, repeats=7)
-        ApproxEngine.default_fast_path = False
-        legacy_run = _run_incremental()
-        t_legacy = perf.time(_run_incremental, repeats=7)
-    finally:
-        ApproxEngine.default_fast_path = saved
+def _run_incremental(char_cache=None):
+    return _framework(char_cache).run(strategy="incremental")
+
+
+def test_incremental_jacobi_fast_vs_legacy(perf, reference_run):
+    def legacy():
+        return reference_run(_framework(), "incremental")
+
+    fast_run = _run_incremental()
+    t_fast = perf.time(_run_incremental, repeats=7)
+    legacy_run = legacy()
+    t_legacy = perf.time(legacy, repeats=7)
 
     np.testing.assert_array_equal(fast_run.x, legacy_run.x)
     assert fast_run.iterations == legacy_run.iterations

@@ -1,9 +1,9 @@
-"""Engine fast path vs legacy execution on isolated kernels.
+"""The production engine vs the reference engine on isolated kernels.
 
 Times the fixed-point-resident chain (matvec feeding sub, the solvers'
-residual shape) and the in-place tree reduction against the
-``fast_path=False`` execution, asserting bit-identical outputs and
-recording the wall-clock ratios.
+residual shape) and the in-place tree reduction against
+:class:`~repro.arith.reference.ReferenceEngine`, asserting bit-identical
+outputs and recording the wall-clock ratios.
 """
 
 import numpy as np
@@ -12,16 +12,15 @@ import pytest
 from repro.arith.engine import ApproxEngine, EnergyLedger
 from repro.arith.fixed import FixedPointFormat
 from repro.arith.modes import default_mode_bank
+from repro.arith.reference import ReferenceEngine
 
 
 @pytest.fixture(scope="module")
 def engines():
     bank = default_mode_bank(32)
     fmt = FixedPointFormat(32, 16)
-    fast = ApproxEngine(bank.by_name("level2"), fmt, EnergyLedger(), fast_path=True)
-    legacy = ApproxEngine(
-        bank.by_name("level2"), fmt, EnergyLedger(), fast_path=False
-    )
+    fast = ApproxEngine(bank.by_name("level2"), fmt, EnergyLedger())
+    legacy = ReferenceEngine(bank.by_name("level2"), fmt, EnergyLedger())
     return fast, legacy
 
 
@@ -60,10 +59,10 @@ def test_tree_reduce_layout(perf, engines):
     q = fast.fmt.encode(rng.uniform(-10.0, 10.0, size=(1001, 64)))
 
     np.testing.assert_array_equal(
-        fast._reduce_words(q), legacy._reduce_words_concat(q)
+        fast._reduce_words(q), legacy._reduce(q)
     )
     t_fast = perf.time(lambda: fast._reduce_words(q), repeats=15)
-    t_legacy = perf.time(lambda: legacy._reduce_words_concat(q), repeats=15)
+    t_legacy = perf.time(lambda: legacy._reduce(q), repeats=15)
     speedup = t_legacy / t_fast
     perf.record(
         "engine/tree_reduce_1001x64",

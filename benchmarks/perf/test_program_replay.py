@@ -1,8 +1,8 @@
 """Iteration-program capture/replay vs the interpreted engine.
 
-Times the shipped configuration (program capture on, fast path on)
-against the interpreted op dispatch (``program_capture=False``) and the
-literal pre-optimization engine (fast path off as well), on workloads
+Times the shipped configuration (program capture on) against the
+interpreted op dispatch (``program_capture=False``) and the spec engine
+(:class:`~repro.arith.reference.ReferenceEngine`), on workloads
 long enough for the iteration loop — not the offline characterization,
 which is warmed per framework before timing — to dominate.
 
@@ -16,25 +16,9 @@ contract before timing: bit-identical iterates and float-equal energy.
 
 import numpy as np
 
-from repro.arith.engine import ApproxEngine
 from repro.core.framework import ApproxIt
 from repro.solvers import ConjugateGradient, LeastSquaresGD
 from repro.solvers.linear import JacobiSolver
-
-
-def _legacy(framework, strategy):
-    """A closure running one legacy-engine (pre-fast-path) solve; the
-    flag toggles per call so it can be interleaved with fast runs."""
-
-    def run():
-        saved = ApproxEngine.default_fast_path
-        ApproxEngine.default_fast_path = False
-        try:
-            framework.run(strategy=strategy, program_capture=False)
-        finally:
-            ApproxEngine.default_fast_path = saved
-
-    return run
 
 
 def _laplacian_jacobi(n=80, max_iter=150):
@@ -53,7 +37,7 @@ def _assert_exact_parity(a, b):
     assert a.energy_by_mode == b.energy_by_mode
 
 
-def test_replay_jacobi80(perf):
+def test_replay_jacobi80(perf, reference_run):
     """The headline entry (gated at >= 2.0x by check_bench): a
     mode-stable run records one program and replays it for the rest of
     the run."""
@@ -62,18 +46,13 @@ def test_replay_jacobi80(perf):
 
     replay_run = framework.run(strategy="static:acc")
     interp_run = framework.run(strategy="static:acc", program_capture=False)
-    saved = ApproxEngine.default_fast_path
-    try:
-        ApproxEngine.default_fast_path = False
-        legacy_run = framework.run(strategy="static:acc", program_capture=False)
-    finally:
-        ApproxEngine.default_fast_path = saved
+    legacy_run = reference_run(framework, "static:acc")
     _assert_exact_parity(replay_run, interp_run)
     _assert_exact_parity(replay_run, legacy_run)
 
     t_replay, t_legacy = perf.time_pair(
         lambda: framework.run(strategy="static:acc"),
-        _legacy(framework, "static:acc"),
+        lambda: reference_run(framework, "static:acc"),
         repeats=7,
     )
     t_interp = perf.time(
@@ -93,30 +72,25 @@ def test_replay_jacobi80(perf):
     assert speedup > 1.0
 
 
-def test_replay_jacobi240(perf):
+def test_replay_jacobi240(perf, reference_run):
     """The fused-replay headline (gated at >= 5.0x by check_bench): at
     n=240 the O(n^2) matvec dominates, and the backend's in-range
-    product-encode-reduce fusion plus chain speculation collapse each
-    replayed iteration to a handful of C-level calls.  Parity against
-    both the interpreted executor and the legacy engine is asserted
-    before timing, so the floor can never be bought with drift."""
+    product-encode-reduce fusion collapses each replayed iteration to a
+    handful of C-level calls.  Parity against both the interpreted
+    executor and the reference engine is asserted before timing, so the
+    floor can never be bought with drift."""
     framework = _laplacian_jacobi(n=240)
     framework.characterization()
 
     replay_run = framework.run(strategy="static:acc")
     interp_run = framework.run(strategy="static:acc", program_capture=False)
-    saved = ApproxEngine.default_fast_path
-    try:
-        ApproxEngine.default_fast_path = False
-        legacy_run = framework.run(strategy="static:acc", program_capture=False)
-    finally:
-        ApproxEngine.default_fast_path = saved
+    legacy_run = reference_run(framework, "static:acc")
     _assert_exact_parity(replay_run, interp_run)
     _assert_exact_parity(replay_run, legacy_run)
 
     t_replay, t_legacy = perf.time_pair(
         lambda: framework.run(strategy="static:acc"),
-        _legacy(framework, "static:acc"),
+        lambda: reference_run(framework, "static:acc"),
         repeats=7,
     )
     t_interp = perf.time(
@@ -208,25 +182,20 @@ def test_replay_lsq120(perf):
     assert speedup > 1.0
 
 
-def test_adaptive_jacobi80(perf):
+def test_adaptive_jacobi80(perf, reference_run):
     """The adaptive strategy end-to-end (the sibling of
-    ``e2e/jacobi80_incremental``): shipped engine vs the legacy path on
-    the same slow-converging system, capture on both where available."""
+    ``e2e/jacobi80_incremental``): shipped engine vs the reference
+    engine on the same slow-converging system."""
     framework = _laplacian_jacobi()
     framework.characterization()
 
     fast_run = framework.run(strategy="adaptive")
-    saved = ApproxEngine.default_fast_path
-    try:
-        ApproxEngine.default_fast_path = False
-        legacy_run = framework.run(strategy="adaptive", program_capture=False)
-    finally:
-        ApproxEngine.default_fast_path = saved
+    legacy_run = reference_run(framework, "adaptive")
     _assert_exact_parity(fast_run, legacy_run)
 
     t_fast, t_legacy = perf.time_pair(
         lambda: framework.run(strategy="adaptive"),
-        _legacy(framework, "adaptive"),
+        lambda: reference_run(framework, "adaptive"),
         repeats=5,
     )
     speedup = t_legacy / t_fast

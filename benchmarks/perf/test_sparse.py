@@ -1,4 +1,4 @@
-"""Sparse resident operands: CSR replay vs the dense-gather slow twin.
+"""Sparse resident operands: CSR replay vs the reference engine.
 
 The flagship workload of the sparse datapath: web-scale PageRank on a
 synthetic 100k-node link graph (~8 out-links per node, power-law
@@ -9,14 +9,15 @@ that never densify.
 The shipped path pins the CSR operand once, captures the iteration
 program, and replays it through the fused ``csr_matvec_words`` backend
 kernel (the ``nnz_max * W`` in-range proof holds for a stochastic
-matrix).  The baseline is the literal pre-fast-path engine: per-call
-re-encoding, a reduction plan rebuilt per matvec, and the dense-gather
-concat reduce.  Parity is asserted before timing — bit-identical
+matrix).  The baseline is the spec engine,
+:class:`~repro.arith.reference.ReferenceEngine`: per-call re-encoding,
+a reduction plan rebuilt per matvec, and the dense-gather concat
+reduce.  Parity is asserted before timing — bit-identical
 iterates and float-equal ledgers — so the gated floor can never be
 bought with numerical drift.
 
 The gated ``speedup`` is measured on the datapath iteration itself
-(one captured-program replay of the 800k-entry matvec vs one slow-twin
+(one captured-program replay of the 800k-entry matvec vs one reference
 engine call): that is the unit this subsystem owns.  The end-to-end
 solver-run ratio is recorded alongside as ``run_speedup`` — it is
 necessarily smaller, because both sides share the *exact* control loop
@@ -28,21 +29,10 @@ iteration.
 import numpy as np
 
 from repro.apps.pagerank import PageRank
-from repro.arith.engine import ApproxEngine, EnergyLedger
+from repro.arith.engine import EnergyLedger
 from repro.arith.program import ProgramEngine
+from repro.arith.reference import ReferenceEngine
 from repro.core.framework import ApproxIt
-
-
-def _legacy(framework, strategy):
-    def run():
-        saved = ApproxEngine.default_fast_path
-        ApproxEngine.default_fast_path = False
-        try:
-            framework.run(strategy=strategy, program_capture=False)
-        finally:
-            ApproxEngine.default_fast_path = saved
-
-    return run
 
 
 def _assert_exact_parity(a, b):
@@ -52,14 +42,14 @@ def _assert_exact_parity(a, b):
     assert a.energy_by_mode == b.energy_by_mode
 
 
-def test_replay_pagerank100k(perf):
+def test_replay_pagerank100k(perf, reference_run):
     """The sparse headline entry (gated at >= 10x by check_bench).
 
     Three layers, all on the same 100k-node web: (1) full-run parity —
-    captured/replayed, interpreted, and legacy dense-gather solves are
+    captured/replayed, interpreted, and reference-engine solves are
     bit-identical with float-equal ledgers; (2) the gated datapath
     measurement — one replayed CSR-matvec iteration against one
-    slow-twin engine call, on the solver's own converged mass
+    reference engine call, on the solver's own converged mass
     distribution; (3) the recorded end-to-end run ratio.  An
     unreachable tolerance pins the iteration count so every timed run
     does identical work."""
@@ -71,16 +61,11 @@ def test_replay_pagerank100k(perf):
 
     replay_run = framework.run(strategy="static:acc")
     interp_run = framework.run(strategy="static:acc", program_capture=False)
-    saved = ApproxEngine.default_fast_path
-    try:
-        ApproxEngine.default_fast_path = False
-        legacy_run = framework.run(strategy="static:acc", program_capture=False)
-    finally:
-        ApproxEngine.default_fast_path = saved
+    legacy_run = reference_run(framework, "static:acc")
     _assert_exact_parity(replay_run, interp_run)
     _assert_exact_parity(replay_run, legacy_run)
 
-    # --- gated datapath measurement: replayed matvec vs slow twin ----
+    # --- gated datapath measurement: replayed matvec vs reference ----
     sp = app._link
     vec = np.asarray(replay_run.x, dtype=np.float64)
     mode = framework.bank.by_name("acc")
@@ -96,7 +81,7 @@ def test_replay_pagerank100k(perf):
         assert execution == "replayed" and reason is None
         return out
 
-    twin = ApproxEngine(mode, framework.fmt, EnergyLedger(), fast_path=False)
+    twin = ReferenceEngine(mode, framework.fmt, EnergyLedger())
 
     def legacy_matvec():
         return twin.matvec(sp, vec)
@@ -104,7 +89,7 @@ def test_replay_pagerank100k(perf):
     np.testing.assert_array_equal(first, replay_matvec())
     np.testing.assert_array_equal(first, legacy_matvec())
 
-    # Timed separately (not in alternation): one slow-twin call sweeps
+    # Timed separately (not in alternation): one reference call sweeps
     # ~tens of MB through cache and evicts the replay's pinned buffers,
     # which mis-states the shipped path — a solver run replays the
     # program back-to-back, never interleaved with the twin.
@@ -115,7 +100,7 @@ def test_replay_pagerank100k(perf):
     # --- supplementary: full solver runs through the same layers -----
     t_replay_run, t_legacy_run = perf.time_pair(
         lambda: framework.run(strategy="static:acc"),
-        _legacy(framework, "static:acc"),
+        lambda: reference_run(framework, "static:acc"),
         repeats=3,
     )
     perf.record(

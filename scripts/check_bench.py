@@ -5,7 +5,7 @@ Usage::
     python scripts/check_bench.py [BENCH_perf.json] [--min-speedup 0.9]
 
 Every benchmark entry records a ``speedup`` of the optimized path over
-its baseline (legacy engine, bit-serial reference adder, cold cache).
+its baseline (reference engine, bit-serial reference adder, cold cache).
 An optimization that drops below parity means the fast path lost to the
 code it was meant to beat; the CI perf-smoke job runs the harness on a
 small size and fails the build when that happens.  The floor defaults
@@ -44,7 +44,7 @@ REQUIRED_ENTRIES = (
 
 #: Per-entry floors overriding ``--min-speedup`` where an optimization
 #: carries a stronger promise than "not a regression".  The program
-#: capture/replay executor must at least double the legacy solo path on
+#: capture/replay executor must at least double the reference engine on
 #: its headline workload (ROADMAP's solo e2e gap), and the lane-group
 #: replay path must beat the solo interpreted loop by the batched
 #: contract's margins (its ``speedup`` field; the tighter
@@ -52,16 +52,16 @@ REQUIRED_ENTRIES = (
 #: where the two batched paths run back to back).
 #:
 #: The jacobi240 floor is the fused-replay promise: program fusion
-#: (in-range product-encode-reduce plus chain speculation) must hold a
-#: >= 5x end-to-end win over the legacy engine at a size where the
-#: O(n^2) matvec dominates.
+#: (in-range product-encode-reduce) must hold a >= 5x end-to-end win
+#: over the reference engine at a size where the O(n^2) matvec
+#: dominates.
 #: The sparse headline carries the PR's tentpole promise: one replayed
 #: CSR-matvec iteration (fused ``csr_matvec_words``) must beat the
-#: dense-gather slow twin by >= 10x on the 100k-node web — measured on
-#: the datapath iteration itself, since both sides share the exact
-#: control loop by the parity contract.  The jacobi240 sparse/dense
-#: pair promises that routing the same system through CSR instead of
-#: the dense resident path is a strict win, not a wash.
+#: reference engine's dense-gather reduce by >= 10x on the 100k-node
+#: web — measured on the datapath iteration itself, since both sides
+#: share the exact control loop by the parity contract.  The jacobi240
+#: sparse/dense pair promises that routing the same system through CSR
+#: instead of the dense resident path is a strict win, not a wash.
 ENTRY_FLOORS = {
     "e2e/replay_jacobi80": 2.0,
     "e2e/replay_jacobi240": 5.0,

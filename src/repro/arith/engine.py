@@ -27,10 +27,11 @@ matvec(A, x, resident=True))`` and friends) then encode once on entry
 and decode once on exit instead of round-tripping through floats at
 every step.  Because ``encode(decode(w)) == w`` for every representable
 word at the supported widths, residency changes *no results and no
-energy accounting* — it only removes redundant conversions.  Setting
-``fast_path=False`` (or flipping :attr:`ApproxEngine.default_fast_path`)
-restores the literal pre-residency execution, which the perf benchmarks
-use as their baseline.
+energy accounting* — it only removes redundant conversions.  The
+literal execution — checked encodes on every call, an unconditional
+saturation recompute, a concatenating tree — lives apart, in
+:class:`repro.arith.reference.ReferenceEngine`; it is the oracle the
+tests and the perf benchmarks' baselines run on.
 
 Pinned (cached) operands
 ------------------------
@@ -44,9 +45,7 @@ validates and profiles a multiplicative constant once and returns a
 scan.  Both caches key on the pin name plus array identity: pinning a
 *different* array under an existing name re-encodes (the version bump),
 in-place mutation of a pinned array requires re-pinning, and the caches
-die with the engine, so a new format always starts cold.  Legacy engines
-(``fast_path=False``) accept the same calls but re-encode every time —
-the oracle stays literal.
+die with the engine, so a new format always starts cold.
 """
 
 from __future__ import annotations
@@ -184,10 +183,7 @@ class SparseReductionPlan:
     slab into the flat product array.  A sparse matvec then reduces one
     contiguous ``(L, g)`` slab per group through the engine's ordinary
     balanced-tree :meth:`~ApproxEngine._reduce_words` — incremental
-    saturation bounds, the dense plan cache, and the legacy concat twin
-    all apply unchanged, which is what makes the sparse fast path and
-    its slow twin bit-identical with float-equal ledgers by
-    construction.
+    saturation bounds and the dense plan cache apply unchanged.
 
     Groups are visited in ascending segment length, rows within a group
     in row order; this ordering is part of the ledger contract (both
@@ -564,6 +560,26 @@ class ReductionPlan:
                 break
 
 
+def _trusted_product(constant, varying: np.ndarray) -> bool:
+    """Whether ``constant * varying`` is provably finite.
+
+    ``constant`` is a pinned operand carrying ``abs_max``; ``varying`` is
+    scanned once (``O(n)`` instead of the product's ``O(rows × cols)``),
+    and a non-finite iterate raises the same error the checked encode
+    would.  A product of two finite maxima can still overflow to
+    ``inf``, so the proof also requires the bound itself to be finite —
+    otherwise the caller falls back to the checked encode.  For a lane
+    stack the bound is global, which is sound per lane; the emitted
+    words are identical with or without the trust.
+    """
+    if varying.size == 0:
+        return True
+    if not np.all(np.isfinite(varying)):
+        raise ValueError("cannot encode non-finite values into fixed point")
+    bound = constant.abs_max * float(np.abs(varying).max())
+    return bool(np.isfinite(bound))
+
+
 class ApproxEngine:
     """Executes additive kernels through one approximation mode.
 
@@ -578,18 +594,7 @@ class ApproxEngine:
             approximation propagates into products, as in silicon)
             instead of exact float multiplication.  Off by default —
             the paper's platform approximates adders only.
-        fast_path: enables fixed-point residency and the saturation
-            range precheck.  ``None`` (default) takes
-            :attr:`default_fast_path`.  ``False`` reproduces the
-            pre-residency execution exactly: every saturating add
-            recomputes the true sum, reductions concatenate per level,
-            and ``resident=True`` requests still return floats.
     """
-
-    #: Class-wide default for ``fast_path`` — flipped to ``False`` by the
-    #: perf benchmarks to measure the legacy execution on otherwise
-    #: identical code paths.
-    default_fast_path: bool = True
 
     def __init__(
         self,
@@ -597,7 +602,6 @@ class ApproxEngine:
         fmt: FixedPointFormat,
         ledger: EnergyLedger | None = None,
         approximate_multiplier: bool = False,
-        fast_path: bool | None = None,
     ):
         if mode.adder.width != fmt.width:
             raise ValueError(
@@ -608,17 +612,14 @@ class ApproxEngine:
         self.backend = KERNELS
         self.ledger = ledger if ledger is not None else EnergyLedger()
         self.approximate_multiplier = bool(approximate_multiplier)
-        self.fast_path = (
-            self.default_fast_path if fast_path is None else bool(fast_path)
-        )
         self._signed_lo, self._signed_hi = bitops.signed_range(fmt.width)
         self._multiplier = None
         self._mul_energy = None
-        # Pinned-operand caches (fast path only; legacy engines stay
-        # literal).  ``_pinned*`` key by name; ``_operand_cache`` keys by
-        # ``id`` so raw arrays passed straight to kernels hit too.  Each
-        # entry keeps a reference to the pinned array, both to validate
-        # identity and to keep the id stable while cached.
+        # Pinned-operand caches.  ``_pinned*`` key by name;
+        # ``_operand_cache`` keys by ``id`` so raw arrays passed straight
+        # to kernels hit too.  Each entry keeps a reference to the pinned
+        # array, both to validate identity and to keep the id stable
+        # while cached.
         self._pinned: dict[str, tuple[np.ndarray, ResidentVector]] = {}
         self._pinned_matrices: dict[str, tuple[np.ndarray, ResidentMatrix]] = {}
         self._operand_cache: dict[int, tuple[np.ndarray, ResidentVector]] = {}
@@ -627,7 +628,6 @@ class ApproxEngine:
         self.encode_cache_misses = 0
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        self.mul_overflow_skips = 0
 
     # ------------------------------------------------------------------
     # Pinned (cached) constant operands
@@ -638,24 +638,19 @@ class ApproxEngine:
         Returns the cached :class:`ResidentVector` (bounds pre-scanned)
         whenever called again with the *same array object*; a different
         array under an existing name re-encodes and replaces the entry.
-        On legacy engines (``fast_path=False``) every call re-encodes —
-        the oracle performs the literal per-iteration work.
         """
         arr = np.asarray(array, dtype=np.float64)
-        if self.fast_path:
-            entry = self._pinned.get(name)
-            if entry is not None and entry[0] is arr:
-                self.encode_cache_hits += 1
-                return entry[1]
+        entry = self._pinned.get(name)
+        if entry is not None and entry[0] is arr:
+            self.encode_cache_hits += 1
+            return entry[1]
         rv = ResidentVector(self.fmt.encode(arr), self.fmt)
         rv.bounds()
-        if self.fast_path:
-            stale = self._pinned.get(name)
-            if stale is not None:
-                self._operand_cache.pop(id(stale[0]), None)
-            self._pinned[name] = (arr, rv)
-            self._operand_cache[id(arr)] = (arr, rv)
-            self.encode_cache_misses += 1
+        if entry is not None:
+            self._operand_cache.pop(id(entry[0]), None)
+        self._pinned[name] = (arr, rv)
+        self._operand_cache[id(arr)] = (arr, rv)
+        self.encode_cache_misses += 1
         return rv
 
     def pin_matrix(self, name: str, matrix: np.ndarray) -> ResidentMatrix:
@@ -663,8 +658,7 @@ class ApproxEngine:
 
         The returned :class:`ResidentMatrix` lets :meth:`matvec` /
         :meth:`weighted_sum` skip the per-call product finiteness scan
-        (see the class docstring).  Same keying and legacy semantics as
-        :meth:`pin`.
+        (see the class docstring).  Same keying as :meth:`pin`.
 
         A :class:`SparseResidentMatrix` passes through unchanged (it is
         its own pin — validated and profiled at construction); a
@@ -674,26 +668,22 @@ class ApproxEngine:
         if isinstance(matrix, SparseResidentMatrix):
             return matrix
         if hasattr(matrix, "tocsr"):
-            if self.fast_path:
-                entry = self._pinned_matrices.get(name)
-                if entry is not None and entry[0] is matrix:
-                    self.encode_cache_hits += 1
-                    return entry[1]
-            sp = SparseResidentMatrix.from_csr_like(matrix)
-            if self.fast_path:
-                self._pinned_matrices[name] = (matrix, sp)
-                self.encode_cache_misses += 1
-            return sp
-        arr = np.asarray(matrix, dtype=np.float64)
-        if self.fast_path:
             entry = self._pinned_matrices.get(name)
-            if entry is not None and entry[0] is arr:
+            if entry is not None and entry[0] is matrix:
                 self.encode_cache_hits += 1
                 return entry[1]
-        rm = ResidentMatrix(arr)
-        if self.fast_path:
-            self._pinned_matrices[name] = (arr, rm)
+            sp = SparseResidentMatrix.from_csr_like(matrix)
+            self._pinned_matrices[name] = (matrix, sp)
             self.encode_cache_misses += 1
+            return sp
+        arr = np.asarray(matrix, dtype=np.float64)
+        entry = self._pinned_matrices.get(name)
+        if entry is not None and entry[0] is arr:
+            self.encode_cache_hits += 1
+            return entry[1]
+        rm = ResidentMatrix(arr)
+        self._pinned_matrices[name] = (arr, rm)
+        self.encode_cache_misses += 1
         return rm
 
     def unpin(self, name: str) -> None:
@@ -712,7 +702,6 @@ class ApproxEngine:
             "plan_cache_misses": self.plan_cache_misses,
             "pinned_operands": len(self._pinned) + len(self._pinned_matrices),
             "reduce_plans": len(self._reduce_plans),
-            "mul_overflow_skips": self.mul_overflow_skips,
         }
 
     # ------------------------------------------------------------------
@@ -748,9 +737,9 @@ class ApproxEngine:
         return np.asarray(x, dtype=np.float64)
 
     def _emit(self, words: np.ndarray, resident: bool):
-        """Kernel output: resident words on request (fast path only),
-        decoded floats otherwise."""
-        if resident and self.fast_path:
+        """Kernel output: resident words on request, decoded floats
+        otherwise."""
+        if resident:
             return ResidentVector(words, self.fmt)
         return self.fmt.decode(words)
 
@@ -763,14 +752,10 @@ class ApproxEngine:
     ) -> bool:
         """Whether the saturating output stage must recompute true sums.
 
-        On the fast path a cheap range precheck (operand min/max, cached
-        on residents) proves most adds cannot leave the representable
-        range, skipping the int64 true-sum recompute entirely.  With
-        ``fast_path=False`` this always answers ``True``, reproducing
-        the unconditional pre-residency recompute.
+        A cheap range precheck (operand min/max, cached on residents)
+        proves most adds cannot leave the representable range, skipping
+        the int64 true-sum recompute entirely.
         """
-        if not self.fast_path:
-            return True
         if qa.size == 0 or qb.size == 0:
             return False
         if bounds_a is None:
@@ -823,15 +808,12 @@ class ApproxEngine:
     def _reduce_words(self, q: np.ndarray) -> np.ndarray:
         """Balanced-tree reduction of axis 0 down to a single slice.
 
-        The fast path folds the tree inside one preallocated buffer (no
-        per-level ``np.concatenate``); the legacy layout is kept in
-        :meth:`_reduce_words_concat`.  Both walk the *same* tree — the
-        identical sequence of :meth:`_add_words` calls in the identical
-        order — so results and the exact ``n - 1`` adds-per-lane energy
-        accounting are unchanged.
+        Folds the tree inside one preallocated buffer (no per-level
+        ``np.concatenate``) while walking the reference engine's tree —
+        the identical sequence of :meth:`_add_words` calls in the
+        identical order — so results and the exact ``n - 1``
+        adds-per-lane energy accounting are unchanged.
         """
-        if not self.fast_path:
-            return self._reduce_words_concat(q)
         cur = np.asarray(q, dtype=np.int64)
         shape = cur.shape
         if shape[0] <= 1:
@@ -883,21 +865,6 @@ class ApproxEngine:
                 else:
                     bounds = (int(cur.min()), int(cur.max()))
         return cur[0]
-
-    def _reduce_words_concat(self, q: np.ndarray) -> np.ndarray:
-        """Pre-residency reduction layout: concatenate the folded half
-        with the odd tail at every level.  Retained as the benchmark
-        baseline and as an oracle for the fast layout's regression
-        tests."""
-        while q.shape[0] > 1:
-            n = q.shape[0]
-            half = n // 2
-            folded = self._add_words(q[:half], q[half : 2 * half])
-            if n % 2:
-                q = np.concatenate([folded, q[2 * half :]], axis=0)
-            else:
-                q = folded
-        return q[0]
 
     # ------------------------------------------------------------------
     # Public kernels: floats in/out by default, fixed-point-resident
@@ -988,28 +955,6 @@ class ApproxEngine:
             raise ValueError(f"dot shape mismatch: {a.shape} vs {b.shape}")
         return float(self.sum(a * b))
 
-    def _trusted_product(
-        self, constant: ResidentMatrix, varying: np.ndarray
-    ) -> bool:
-        """Whether ``constant * varying`` is provably finite.
-
-        ``varying`` is scanned once (``O(n)`` instead of the product's
-        ``O(rows × cols)``); a non-finite iterate raises the same error
-        the checked encode would.  A product of two finite maxima can
-        still overflow to ``inf``, so the proof also requires the bound
-        itself to be finite — otherwise the caller falls back to the
-        checked encode.  Legacy engines never trust (oracle stays
-        literal).
-        """
-        if not self.fast_path:
-            return False
-        if varying.size == 0:
-            return True
-        if not np.all(np.isfinite(varying)):
-            raise ValueError("cannot encode non-finite values into fixed point")
-        bound = constant.abs_max * float(np.abs(varying).max())
-        return bool(np.isfinite(bound))
-
     def _sparse_matvec_words(
         self, sp: SparseResidentMatrix, vec: np.ndarray
     ) -> np.ndarray:
@@ -1019,17 +964,14 @@ class ApproxEngine:
         Execution is bucket-ordered by the row plan (ascending nnz
         length, rows in index order): each bucket gathers its products
         into an ``(L, g)`` slab and reduces it through
-        :meth:`_reduce_words`, so per-level charge order, incremental
-        saturation bounds, and the legacy concat twin (``fast_path
-        =False``, which also rebuilds the plan per call — the literal
-        dense-gather oracle) are all inherited from the dense reduction.
-        Empty rows emit the encoded zero word without touching the
-        adder.
+        :meth:`_reduce_words`, so per-level charge order and incremental
+        saturation bounds are inherited from the dense reduction.  Empty
+        rows emit the encoded zero word without touching the adder.
         """
         products = sp.data * vec[sp.indices]
-        trusted = self._trusted_product(sp, vec)
+        trusted = _trusted_product(sp, vec)
         q = self.fmt.encode(products, assume_finite=trusted)
-        plan = sp.row_plan() if self.fast_path else SparseReductionPlan(sp.indptr)
+        plan = sp.row_plan()
         out = np.zeros(sp.shape[0], dtype=np.int64)
         for _length, rows, gather in plan.buckets:
             out[rows] = self._reduce_words(q[gather].T)
@@ -1064,7 +1006,7 @@ class ApproxEngine:
                 f"matvec shape mismatch: {mat.shape} vs {vector.shape}"
             )
         if pinned is not None:
-            trusted = self._trusted_product(pinned, vector)
+            trusted = _trusted_product(pinned, vector)
         return self.sum(
             mat * vector[np.newaxis, :],
             axis=1,
@@ -1107,7 +1049,7 @@ class ApproxEngine:
                 f"weighted_sum shape mismatch: {weights.shape} vs {pts.shape}"
             )
         if pinned is not None:
-            trusted = self._trusted_product(pinned, weights)
+            trusted = _trusted_product(pinned, weights)
         return self.sum(
             weights[:, np.newaxis] * pts,
             axis=0,
@@ -1130,18 +1072,9 @@ class ApproxEngine:
         each (the product then carries ``frac_bits`` and fits the word
         whenever ``|a*b| <= max_value``), and products that would
         overflow saturate at the output stage.
-
-        When an operand carries a cached absolute bound (a
-        :class:`ResidentMatrix`, or a :class:`ResidentVector` whose word
-        bounds are scanned) and the bound product provably fits the
-        word, the full ``|a*b| > max_value`` overflow scan and the
-        ``np.where`` clamp are skipped — the mask would have been
-        all-``False``, so the emitted words are identical.
         """
         if not self.approximate_multiplier:
             return np.asarray(a, dtype=np.float64) * np.asarray(b, dtype=np.float64)
-        amax_a = self._cached_abs_max(a) if self.fast_path else None
-        amax_b = self._cached_abs_max(b) if self.fast_path else None
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if self._multiplier is None:
@@ -1164,16 +1097,6 @@ class ApproxEngine:
         n = int(np.broadcast(qa, qb).size)
         self._charge(f"{self.mode.name}:mul", n, self._mul_energy)
         product = np.asarray(raw, dtype=np.float64) / self._half_fmt.scale**2
-        if (
-            amax_a is not None
-            and amax_b is not None
-            and amax_a * amax_b <= self.fmt.max_value
-        ):
-            # The cached operand bounds prove |a*b| <= max_value
-            # everywhere: the overflow mask below would be all-False, so
-            # skip the full product scan and the clamp.
-            self.mul_overflow_skips += 1
-            return self.fmt.quantize(product)
         # Saturating output stage: the masked multiplier wraps when the
         # true product leaves the word; clamp those lanes instead.
         true = a * b
@@ -1185,23 +1108,6 @@ class ApproxEngine:
                 product,
             )
         return self.fmt.quantize(product)
-
-    def _cached_abs_max(self, x) -> float | None:
-        """A proven ``max(|x|)`` available without scanning the floats.
-
-        :class:`ResidentMatrix` carries one from pinning;
-        :class:`ResidentVector` word bounds convert exactly (words are
-        ``value * scale``).  ``None`` for anything else — plain arrays
-        would need the very scan the caller is trying to skip.
-        """
-        if isinstance(x, ResidentMatrix):
-            return x.abs_max
-        if isinstance(x, ResidentVector) and x.fmt == self.fmt:
-            bounds = x.bounds()
-            if bounds is None:
-                return 0.0
-            return max(abs(bounds[0]), abs(bounds[1])) / self.fmt.scale
-        return None
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
         """Round-trip values through the datapath format (no energy)."""
@@ -1443,9 +1349,6 @@ class BatchedEngine:
         ledger: the shared per-lane ledger; a private one sized for
             ``lanes`` is created when omitted.
         lanes: lane count used only when ``ledger`` is omitted.
-        fast_path: saturation-precheck / residency toggle; ``None``
-            takes :attr:`ApproxEngine.default_fast_path`.  Results are
-            bit-identical either way.
     """
 
     def __init__(
@@ -1454,7 +1357,6 @@ class BatchedEngine:
         fmt: FixedPointFormat,
         ledger: BatchedEnergyLedger | None = None,
         lanes: int | None = None,
-        fast_path: bool | None = None,
     ):
         if mode.adder.width != fmt.width:
             raise ValueError(
@@ -1466,9 +1368,6 @@ class BatchedEngine:
         if ledger is None:
             ledger = BatchedEnergyLedger(lanes if lanes is not None else 1)
         self.ledger = ledger
-        self.fast_path = (
-            ApproxEngine.default_fast_path if fast_path is None else bool(fast_path)
-        )
         self._signed_lo, self._signed_hi = bitops.signed_range(fmt.width)
         self.lane_ids: np.ndarray | None = None
         self._pinned: dict[str, tuple[np.ndarray, ResidentVector]] = {}
@@ -1590,7 +1489,7 @@ class BatchedEngine:
         return np.asarray(x, dtype=np.float64)
 
     def _emit(self, words: np.ndarray, resident: bool):
-        if resident and self.fast_path:
+        if resident:
             return LaneStack(words, self.fmt)
         return self.fmt.decode(words)
 
@@ -1603,8 +1502,6 @@ class BatchedEngine:
         the recompute itself is per-element, so a conservative global
         answer keeps per-lane results bit-identical.
         """
-        if not self.fast_path:
-            return True
         if qa.size == 0 or qb.size == 0:
             return False
         if bounds_a is None:
@@ -1681,7 +1578,7 @@ class BatchedEngine:
             self.plan_cache_hits += 1
         saturating = self.fmt.overflow == "saturate"
         bounds = None
-        if saturating and cur.size and self.fast_path:
+        if saturating and cur.size:
             bounds = _lane_minmax(cur, lane_axis=1)
         exact = self.mode.adder.is_exact
         lo_w, hi_w = self._signed_lo, self._signed_hi
@@ -1818,21 +1715,6 @@ class BatchedEngine:
             raise ValueError(f"dot shape mismatch: {af.shape} vs {bf.shape}")
         return self.sum(af * bf)
 
-    def _trusted_product(
-        self, constant: ResidentMatrix, varying: np.ndarray
-    ) -> bool:
-        """Any-lane version of :meth:`ApproxEngine._trusted_product`:
-        one global bound over the whole stack (sound per lane, and the
-        emitted words are identical with or without the trust)."""
-        if not self.fast_path:
-            return False
-        if varying.size == 0:
-            return True
-        if not np.all(np.isfinite(varying)):
-            raise ValueError("cannot encode non-finite values into fixed point")
-        bound = constant.abs_max * float(np.abs(varying).max())
-        return bool(np.isfinite(bound))
-
     def _sparse_matvec_words(
         self, sp: SparseResidentMatrix, xs: np.ndarray
     ) -> np.ndarray:
@@ -1843,9 +1725,9 @@ class BatchedEngine:
         inside), so every lane slice walks the identical tree — and
         draws the identical charges — as a solo engine on that lane."""
         products = sp.data[np.newaxis, :] * xs[:, sp.indices]
-        trusted = self._trusted_product(sp, xs)
+        trusted = _trusted_product(sp, xs)
         q = self.fmt.encode(products, assume_finite=trusted)
-        plan = sp.row_plan() if self.fast_path else SparseReductionPlan(sp.indptr)
+        plan = sp.row_plan()
         out = np.zeros((xs.shape[0], sp.shape[0]), dtype=np.int64)
         for _length, rows, gather in plan.buckets:
             out[:, rows] = self._reduce_words(np.moveaxis(q[:, gather], 2, 0))
@@ -1876,7 +1758,7 @@ class BatchedEngine:
                 f"batched matvec shape mismatch: {mat.shape} vs {xs.shape}"
             )
         if pinned is not None:
-            trusted = self._trusted_product(pinned, xs)
+            trusted = _trusted_product(pinned, xs)
         products = mat[np.newaxis, :, :] * xs[:, np.newaxis, :]
         return self.sum(products, axis=1, resident=resident, assume_finite=trusted)
 
@@ -1906,7 +1788,7 @@ class BatchedEngine:
                 f"batched weighted_sum shape mismatch: {w.shape} vs {pts.shape}"
             )
         if pinned is not None:
-            trusted = self._trusted_product(pinned, w)
+            trusted = _trusted_product(pinned, w)
         products = w[:, :, np.newaxis] * pts[np.newaxis, :, :]
         return self.sum(products, axis=0, resident=resident, assume_finite=trusted)
 

@@ -49,8 +49,9 @@ finishes interpreted and the next one re-records):
   and keeps its program.
 
 The interpreted path stays byte-for-byte untouched as the regression
-oracle: a ``ProgramEngine`` with capture off (or ``fast_path=False``)
-*is* the plain engine.
+oracle: a ``ProgramEngine`` with capture off *is* the plain engine, and
+both are checked against the spec engine,
+:class:`repro.arith.reference.ReferenceEngine`.
 """
 
 from __future__ import annotations
@@ -915,7 +916,7 @@ class _SparseMatvecStep:
 class _RecordedOp:
     """One top-level engine call as seen while recording."""
 
-    __slots__ = ("kind", "args", "params", "charges", "sat", "out")
+    __slots__ = ("kind", "args", "params", "charges", "sat")
 
     def __init__(self, kind, args, params):
         self.kind = kind
@@ -923,127 +924,6 @@ class _RecordedOp:
         self.params = params
         self.charges: list[tuple[str, int, float]] = []
         self.sat: list[bool] = []
-        self.out = None
-
-
-class _ChainTail:
-    """A chained op: every arg is either an earlier op's output or an
-    identity-stable literal, so the whole call is predictable at the
-    chain head's dispatch.
-
-    ``srcs`` holds one ``(is_op, value)`` pair per arg position:
-    ``(True, k)`` reads op ``k``'s output this iteration, ``(False,
-    obj)`` predicts the capture-time operand object (pinned residents
-    and constant arrays are identity-stable by the engine's pin
-    convention; anything else — e.g. a live float ``alpha`` — makes the
-    op unchainable).
-    """
-
-    __slots__ = ("index", "srcs")
-
-    def __init__(self, index, srcs):
-        self.index = index
-        self.srcs = srcs
-
-
-class _Chain:
-    """One dataflow chain: a head op plus the tail ops it feeds.
-
-    At replay the tails run through their compiled steps one by one,
-    all inside a single Python dispatch entry for the whole chain.
-    """
-
-    __slots__ = ("root", "tails")
-
-    def __init__(self, root):
-        self.root = root
-        self.tails: list[int] = []
-
-
-_PREDICTABLE = (
-    np.ndarray,
-    ResidentVector,
-    ResidentMatrix,
-    SparseResidentMatrix,
-    LaneStack,
-)
-
-
-def _link_chains(ops):
-    """Link recorded ops into dataflow chains by output identity.
-
-    An op whose args are all either (a) ``is``-identical to an earlier
-    op's recorded output or (b) identity-stable literals joins the
-    chain rooted at its latest op-source (transitively: a tail feeding
-    another tail keeps one root).  At replay the whole chain executes
-    speculatively inside the head's dispatch — one Python entry per
-    chain — and each tail's own dispatch merely verifies the predicted
-    operand identities and serves the memoized result; any mismatch
-    (changed dataflow) recomputes that op through its compiled step, so
-    chaining never changes results, only entry count.
-    """
-    out_index: dict[int, int] = {}
-    roots: dict[int, int] = {}
-    chains: dict[int, _Chain] = {}
-    tails: dict[int, _ChainTail] = {}
-    for i, op in enumerate(ops):
-        srcs = []
-        last_src = -1
-        predictable = True
-        for a in op.args:
-            j = out_index.get(id(a))
-            if j is not None and a is ops[j].out:
-                srcs.append((True, j))
-                if j > last_src:
-                    last_src = j
-            elif isinstance(a, _PREDICTABLE):
-                srcs.append((False, a))
-            else:
-                predictable = False
-                break
-        if predictable and last_src >= 0:
-            root = roots.get(last_src, last_src)
-            chain = chains.get(root)
-            if chain is None:
-                chain = chains[root] = _Chain(root)
-            chain.tails.append(i)
-            tails[i] = _ChainTail(i, tuple(srcs))
-            roots[i] = root
-        if isinstance(op.out, _PREDICTABLE):
-            out_index[id(op.out)] = i
-    return chains, tails
-
-
-def _speculate_chain(engine, executor, program, chain):
-    """Execute a chain's tails ahead of their dispatches (called from
-    the head's dispatch, right after the head step replayed).
-
-    Results land in the executor's memo keyed by program index,
-    together with the exact predicted-arg tuple the tail dispatch must
-    verify by identity.  Speculation is side-effect-free with respect
-    to the ledger — charges append only when the real dispatch serves
-    the memo — and aborts silently on *any* failure (bailout, raise,
-    missing source): the affected tails simply replay normally at their
-    own dispatches, where errors surface at the interpreted call site.
-    """
-    results = executor.results
-    memo = executor.memo
-    try:
-        for t in chain.tails:
-            tail = program.tails[t]
-            args = []
-            for is_op, val in tail.srcs:
-                if is_op:
-                    hit = memo.get(val)
-                    val = hit[1] if hit is not None else results[val]
-                    if val is None:
-                        return
-                args.append(val)
-            args = tuple(args)
-            out = program.steps[t].replay(engine, args)
-            memo[t] = (args, out)
-    except Exception:
-        return
 
 
 def _compile_add(engine, op, slots):
@@ -1136,15 +1016,12 @@ _COMPILERS = {
 
 
 class IterationProgram:
-    """The compiled op sequence of one iteration at one mode, plus the
-    dataflow chains linked across it (see :func:`_link_chains`)."""
+    """The compiled op sequence of one iteration at one mode."""
 
-    __slots__ = ("steps", "chains", "tails")
+    __slots__ = ("steps",)
 
-    def __init__(self, steps, chains=None, tails=None):
+    def __init__(self, steps):
         self.steps = tuple(steps)
-        self.chains = chains if chains is not None else {}
-        self.tails = tails if tails is not None else {}
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -1160,11 +1037,10 @@ class ProgramRecorder:
     def open_op(self, kind, args, params) -> None:
         self._open = _RecordedOp(kind, args, params)
 
-    def close_op(self, out=None) -> None:
+    def close_op(self) -> None:
         op = self._open
         self._open = None
         if op is not None:
-            op.out = out
             self.ops.append(op)
 
     def on_charge(self, mode_name, n_adds, energy_per_add) -> None:
@@ -1177,9 +1053,9 @@ class ProgramRecorder:
 
     def finalize(self, engine, slots) -> IterationProgram:
         """Compile the recorded ops against the end-of-iteration slots."""
-        steps = tuple(_COMPILERS[op.kind](engine, op, slots) for op in self.ops)
-        chains, tails = _link_chains(self.ops)
-        return IterationProgram(steps, chains, tails)
+        return IterationProgram(
+            _COMPILERS[op.kind](engine, op, slots) for op in self.ops
+        )
 
 
 class ProgramExecutor:
@@ -1194,17 +1070,13 @@ class ProgramExecutor:
     exactly.
     """
 
-    __slots__ = ("program", "cursor", "pending", "bailed_reason", "results", "memo")
+    __slots__ = ("program", "cursor", "pending", "bailed_reason")
 
     def __init__(self, program: IterationProgram):
         self.program = program
         self.cursor = 0
         self.pending: list[tuple[str, int, float]] = []
         self.bailed_reason: str | None = None
-        # Per-step outputs this iteration (chain sources) and the
-        # speculated-tail memo: index -> (predicted args, output).
-        self.results: list = [None] * len(program.steps)
-        self.memo: dict[int, tuple[tuple, object]] = {}
 
     def next_step(self, kind, params):
         """The next compiled step, or ``None`` on structure mismatch."""
@@ -1254,10 +1126,10 @@ class _ProgramCapture:
 
         Returns ``"replay"`` when a cached program will drive it,
         ``"record"`` when this iteration runs interpreted under the
-        recorder, ``"off"`` when capture is unavailable (legacy engine
-        or a previous compile failure).
+        recorder, ``"off"`` when an earlier compile failed and capture
+        stays off for good.
         """
-        if not self.fast_path or self._program_unsupported:
+        if self._program_unsupported:
             self._pstate = _IDLE
             return "off"
         self._slots = dict(slots)
@@ -1372,42 +1244,24 @@ class _ProgramCapture:
                 raise
             finally:
                 self._depth -= 1
-            recorder.close_op(out)
+            recorder.close_op()
             return out
         # _REPLAY
         executor = self._executor
         step = executor.next_step(kind, params)
         if step is None:
             return self._bail_and_run(kind, args, params, "structure")
-        idx = executor.cursor - 1
-        hit = executor.memo.pop(idx, None)
-        if hit is not None:
-            pred_args, out = hit
-            if len(pred_args) == len(args) and all(
-                p is a for p, a in zip(pred_args, args)
-            ):
-                # Chain hit: this op already ran speculatively at its
-                # chain head on these exact operands — serve the result
-                # and charge now, keeping the ledger order identical.
-                executor.results[idx] = out
-                executor.pending.extend(step.charges)
-                return out
         self._depth += 1
         try:
             out = step.replay(self, args)
         except ProgramBailout as bail:
+            reason = bail.reason
+        else:
+            executor.pending.extend(step.charges)
+            return out
+        finally:
             self._depth -= 1
-            return self._bail_and_run(kind, args, params, bail.reason)
-        except BaseException:
-            self._depth -= 1
-            raise
-        self._depth -= 1
-        executor.pending.extend(step.charges)
-        executor.results[idx] = out
-        chain = self.program.chains.get(idx)
-        if chain is not None:
-            _speculate_chain(self, executor, self.program, chain)
-        return out
+        return self._bail_and_run(kind, args, params, reason)
 
     def _bail_and_run(self, kind, args, params, reason):
         executor = self._executor
@@ -1446,10 +1300,9 @@ class ProgramEngine(_ProgramCapture, ApproxEngine):
     Driven by :class:`~repro.core.framework.ApproxIt` through
     :meth:`begin_iteration` / :meth:`bind_slot` / :meth:`end_iteration`;
     between those calls the public kernel API is unchanged, so solvers
-    are oblivious.  Outside an iteration window (or with
-    ``fast_path=False``) every call runs plain interpreted — a
-    ``ProgramEngine`` never changes results, only how often the
-    structure around them is re-derived.
+    are oblivious.  Outside an iteration window every call runs plain
+    interpreted — a ``ProgramEngine`` never changes results, only how
+    often the structure around them is re-derived.
     """
 
     _impls = _BASE_IMPLS
@@ -2038,11 +1891,9 @@ _B_COMPILERS = {
 
 def _finalize_batched(recorder, engine, slots, lanes) -> IterationProgram:
     """Compile a batched recording against the end-of-iteration slots."""
-    steps = tuple(
+    return IterationProgram(
         _B_COMPILERS[op.kind](engine, op, slots, lanes) for op in recorder.ops
     )
-    chains, tails = _link_chains(recorder.ops)
-    return IterationProgram(steps, chains, tails)
 
 
 #: Interpreted batched implementations the dispatcher records through

@@ -165,8 +165,6 @@ def _prewarm(
     from repro.experiments.parallel import SweepPool
     from repro.experiments.runner import run_experiments_parallel
 
-    if artifact not in _PARALLEL_ARTIFACTS:
-        return
     # One persistent pool for the whole prewarm: workers spawn once and
     # keep their warmed imports/memo caches across every sweep cell.
     with SweepPool(max_workers=workers if workers > 0 else None) as pool:
@@ -353,9 +351,22 @@ def _run_report(
     return report + extra
 
 
+def _check_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Reject flags the chosen artifact would silently ignore (exit 2)."""
+    prewarm = args.parallel is not None
+    if prewarm and (args.parallel < 0 or args.artifact not in _PARALLEL_ARTIFACTS):
+        parser.error(f"--parallel takes N >= 0 and one of {', '.join(_PARALLEL_ARTIFACTS)}")
+    if args.batch_size is not None and (not prewarm or args.batch_size < 1):
+        parser.error("--batch-size takes B >= 1 and needs --parallel")
+    if args.trace is not None and args.artifact != "run" and not prewarm:
+        parser.error("--trace applies to the run artifact or a --parallel prewarm")
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    _check_flags(parser, args)
     from repro.experiments.runner import set_default_cache_dir
 
     # Installed process-wide so the serial renderers, the run/

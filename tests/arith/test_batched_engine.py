@@ -20,6 +20,7 @@ from repro.arith.engine import (
     LaneStack,
 )
 from repro.arith.fixed import FixedPointFormat
+from repro.arith.reference import ReferenceEngine
 from repro.obs import Observer
 
 LANES = 6
@@ -202,24 +203,21 @@ class TestKernelParityVsSolo:
         for row, lane in enumerate(ids):
             assert batched.ledger.lane_ledger(lane) == solos[lane].ledger
 
-    def test_fast_path_off_is_still_bit_identical(
+    def test_lanes_match_reference_engine(
         self, bank32, fmt32, mode_name, lane_vectors, rng
     ):
         mode = bank32.by_name(mode_name)
-        fast = BatchedEngine(mode, fmt32, BatchedEnergyLedger(LANES))
-        slow = BatchedEngine(
-            mode, fmt32, BatchedEnergyLedger(LANES), fast_path=False
-        )
-        fast.select_lanes(np.arange(LANES))
-        slow.select_lanes(np.arange(LANES))
+        batched = BatchedEngine(mode, fmt32, BatchedEnergyLedger(LANES))
+        batched.select_lanes(np.arange(LANES))
         X = np.stack(lane_vectors)
         A = rng.uniform(-1.0, 1.0, (DIM, DIM))
-        np.testing.assert_array_equal(
-            fast.matvec(A, X), slow.matvec(A, X)
-        )
-        np.testing.assert_array_equal(fast.sum(X), slow.sum(X))
+        got_mv = batched.matvec(A, X)
+        got_sum = batched.sum(X)
         for i in range(LANES):
-            assert fast.ledger.lane_ledger(i) == slow.ledger.lane_ledger(i)
+            ref = ReferenceEngine(mode, fmt32, EnergyLedger())
+            np.testing.assert_array_equal(got_mv[i], ref.matvec(A, X[i]))
+            assert got_sum[i] == ref.sum(X[i])
+            assert batched.ledger.lane_ledger(i) == ref.ledger
 
 
 class TestBatchedEngineErrors:

@@ -202,16 +202,6 @@ class TestLaneGroupCaptureReplay:
         _assert_ledgers_equal(prog, oracle)
         assert prog.program is None
 
-    def test_fast_path_off_disables_capture(self, mode, fmt32):
-        prog = BatchedProgramEngine(
-            mode, fmt32, BatchedEnergyLedger(2), fast_path=False
-        )
-        prog.select_lanes(np.arange(2))
-        assert prog.begin_iteration({"X": np.zeros((2, 3))}) == "off"
-        prog.add(np.ones((2, 3)), np.ones((2, 3)))
-        assert prog.end_iteration() == ("interpreted", None)
-        assert prog.program is None
-
     def test_begin_iteration_requires_selected_lanes(self, mode, fmt32):
         prog = BatchedProgramEngine(mode, fmt32, BatchedEnergyLedger(2))
         with pytest.raises(RuntimeError, match="select_lanes"):

@@ -1,10 +1,11 @@
-"""Fast-path regression tests: residency changes results and energy NOT AT ALL.
+"""Engine regression tests: residency changes results and energy NOT AT ALL.
 
-The fixed-point-resident fast path (``ApproxEngine.fast_path``) exists
-purely to remove redundant decode/encode round-trips, skip provably
-unnecessary saturation recomputes, and fold reductions in place.  Every
-test here pins the invariant that it is *observationally identical* to
-the legacy execution (``fast_path=False``): bit-identical kernel
+The production engine's fixed-point residency exists purely to remove
+redundant decode/encode round-trips, skip provably unnecessary
+saturation recomputes, and fold reductions in place.  Every test here
+pins the invariant that :class:`~repro.arith.engine.ApproxEngine` is
+*observationally identical* to the spec,
+:class:`~repro.arith.reference.ReferenceEngine`: bit-identical kernel
 outputs — including saturating overflow — and an unchanged energy
 ledger, down to the exact ``n - 1`` adds per reduced lane.
 """
@@ -14,15 +15,14 @@ import pytest
 
 from repro.arith.engine import ApproxEngine, EnergyLedger, ResidentVector
 from repro.arith.fixed import FixedPointFormat
+from repro.arith.reference import ReferenceEngine
 
 
 def _pair(bank32, mode_name, fmt=None):
-    """Matched (fast, legacy) engines with independent ledgers."""
+    """Matched (production, reference) engines with independent ledgers."""
     fmt = fmt if fmt is not None else FixedPointFormat(32, 16)
-    fast = ApproxEngine(bank32.by_name(mode_name), fmt, EnergyLedger(), fast_path=True)
-    legacy = ApproxEngine(
-        bank32.by_name(mode_name), fmt, EnergyLedger(), fast_path=False
-    )
+    fast = ApproxEngine(bank32.by_name(mode_name), fmt, EnergyLedger())
+    legacy = ReferenceEngine(bank32.by_name(mode_name), fmt, EnergyLedger())
     return fast, legacy
 
 
@@ -107,12 +107,13 @@ class TestResultsBitIdentical:
         assert fast.dot(pts[:, 0], pts[:, 1]) == legacy.dot(pts[:, 0], pts[:, 1])
 
     def test_reduce_layouts_bit_identical(self, bank32, rng):
-        fast, _ = _pair(bank32, "level3")
+        fast, legacy = _pair(bank32, "level3")
         for n in (2, 3, 5, 9, 17, 100, 101):
             q = fast.fmt.encode(rng.uniform(-50.0, 50.0, size=(n, 4)))
             np.testing.assert_array_equal(
-                fast._reduce_words(q.copy()), fast._reduce_words_concat(q.copy())
+                fast._reduce_words(q.copy()), legacy._reduce(q.copy())
             )
+        assert fast.ledger == legacy.ledger
 
 
 class TestResidency:
@@ -164,7 +165,7 @@ class TestResidency:
 
 
 class TestFrameworkParity:
-    def test_full_run_identical_fast_vs_legacy(self):
+    def test_full_run_identical_fast_vs_legacy(self, reference_run):
         from repro.core.framework import ApproxIt
         from repro.solvers.linear import JacobiSolver
 
@@ -174,18 +175,11 @@ class TestFrameworkParity:
         matrix += np.diag(np.abs(matrix).sum(axis=1) + 1.0)
         rhs = rng.uniform(-5.0, 5.0, size=n)
 
-        def run_once():
-            framework = ApproxIt(JacobiSolver(matrix, rhs, max_iter=60))
-            return framework.run(strategy="incremental")
+        def framework():
+            return ApproxIt(JacobiSolver(matrix, rhs, max_iter=60))
 
-        saved = ApproxEngine.default_fast_path
-        try:
-            ApproxEngine.default_fast_path = True
-            fast_run = run_once()
-            ApproxEngine.default_fast_path = False
-            legacy_run = run_once()
-        finally:
-            ApproxEngine.default_fast_path = saved
+        fast_run = framework().run(strategy="incremental")
+        legacy_run = reference_run(framework(), "incremental")
 
         np.testing.assert_array_equal(fast_run.x, legacy_run.x)
         assert fast_run.iterations == legacy_run.iterations
@@ -193,7 +187,7 @@ class TestFrameworkParity:
         assert fast_run.steps_by_mode == legacy_run.steps_by_mode
         assert fast_run.mode_trace == legacy_run.mode_trace
 
-    def test_adaptive_run_identical_fast_vs_legacy(self):
+    def test_adaptive_run_identical_fast_vs_legacy(self, reference_run):
         # The adaptive strategy reconfigures modes mid-run (and may roll
         # back), so it exercises pinned-operand reuse across engine
         # switches — each mode's engine keeps its own caches.
@@ -206,18 +200,11 @@ class TestFrameworkParity:
         matrix += np.diag(np.abs(matrix).sum(axis=1) + 1.0)
         rhs = rng.uniform(-5.0, 5.0, size=n)
 
-        def run_once():
-            framework = ApproxIt(JacobiSolver(matrix, rhs, max_iter=60))
-            return framework.run(strategy="adaptive")
+        def framework():
+            return ApproxIt(JacobiSolver(matrix, rhs, max_iter=60))
 
-        saved = ApproxEngine.default_fast_path
-        try:
-            ApproxEngine.default_fast_path = True
-            fast_run = run_once()
-            ApproxEngine.default_fast_path = False
-            legacy_run = run_once()
-        finally:
-            ApproxEngine.default_fast_path = saved
+        fast_run = framework().run(strategy="adaptive")
+        legacy_run = reference_run(framework(), "adaptive")
 
         np.testing.assert_array_equal(fast_run.x, legacy_run.x)
         assert fast_run.iterations == legacy_run.iterations

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arith.engine import (
-    ApproxEngine,
-    EnergyLedger,
-    ResidentMatrix,
-    ResidentVector,
-)
+from repro.arith.engine import ApproxEngine, EnergyLedger, ResidentMatrix
 from repro.arith.fixed import FixedPointFormat
 
 
@@ -87,82 +82,11 @@ class TestApproximateMul:
         out = eng.mul(np.array([12.5, -3.0]), np.zeros(2))
         assert np.array_equal(out, np.zeros(2))
 
-
-class TestMulOverflowScanSkip:
-    """Cached operand bounds proving ``|a*b| <= max_value`` skip the
-    full overflow scan and the ``np.where`` clamp — the mask would have
-    been all-``False``, so the result must be bit-identical."""
-
-    def _engines(self, bank32, fmt, mode="level2"):
-        fast = ApproxEngine(
-            bank32.by_name(mode), fmt, approximate_multiplier=True
-        )
-        oracle = ApproxEngine(
-            bank32.by_name(mode), fmt, approximate_multiplier=True
-        )
-        return fast, oracle
-
-    def test_bounded_operands_skip_the_scan(self, bank32, fmt, rng):
-        fast, oracle = self._engines(bank32, fmt)
-        a = rng.uniform(-30, 30, size=(6, 8))
-        b = rng.uniform(-30, 30, size=(6, 8))
-        ra = ResidentMatrix(a)
-        rb = ResidentMatrix(b)
-        out = fast.mul(ra, rb)
-        assert fast.mul_overflow_skips == 1
-        np.testing.assert_array_equal(out, oracle.mul(a, b))
-        assert oracle.mul_overflow_skips == 0
-
-    def test_resident_vector_bounds_skip_the_scan(self, bank32, fmt, rng):
-        fast, oracle = self._engines(bank32, fmt)
-        values = rng.uniform(-20, 20, size=50)
-        rv = ResidentVector(fmt.encode(values), fmt)
-        rm = ResidentMatrix(rng.uniform(-2, 2, size=50))
-        out = fast.mul(rv, rm)
-        assert fast.mul_overflow_skips == 1
-        np.testing.assert_array_equal(
-            out, oracle.mul(rv.decode(), np.asarray(rm))
-        )
-
     def test_overflowing_product_still_clamps(self, bank32, fmt):
-        """Bounds that cannot prove the product in range keep the scan,
-        and products past ``max_value`` still saturate."""
-        fast, _ = self._engines(bank32, fmt, mode="acc")
+        """A pinned operand's product past ``max_value`` still
+        saturates, and an in-range lane is untouched."""
+        eng = ApproxEngine(bank32.accurate, fmt, approximate_multiplier=True)
         big = ResidentMatrix(np.array([30000.0, 4.0]))
-        out = fast.mul(big, big)
-        assert fast.mul_overflow_skips == 0
+        out = eng.mul(big, big)
         assert out[0] == pytest.approx(fmt.max_value, rel=1e-6)
         assert out[1] == pytest.approx(16.0, rel=1e-3)
-
-    def test_unbounded_operands_never_skip(self, bank32, fmt, rng):
-        """Plain ndarrays carry no cached bound, so the scan runs."""
-        fast, _ = self._engines(bank32, fmt)
-        a = rng.uniform(-3, 3, size=40)
-        fast.mul(a, a)
-        assert fast.mul_overflow_skips == 0
-
-    def test_legacy_path_never_skips(self, bank32, fmt, rng):
-        eng = ApproxEngine(
-            bank32.by_name("level2"),
-            fmt,
-            approximate_multiplier=True,
-            fast_path=False,
-        )
-        rm = ResidentMatrix(rng.uniform(-2, 2, size=30))
-        eng.mul(rm, rm)
-        assert eng.mul_overflow_skips == 0
-
-    def test_mismatched_resident_format_never_skips(self, bank32, fmt, rng):
-        """An RV in a different format has no usable bound for this
-        engine's word."""
-        fast, _ = self._engines(bank32, fmt)
-        other = FixedPointFormat(32, 8)
-        rv = ResidentVector(other.encode(rng.uniform(-2, 2, size=10)), other)
-        fast.mul(rv, np.ones(10))
-        assert fast.mul_overflow_skips == 0
-
-    def test_skip_counter_in_cache_stats(self, bank32, fmt, rng):
-        fast, _ = self._engines(bank32, fmt)
-        rm = ResidentMatrix(rng.uniform(-1, 1, size=12))
-        fast.mul(rm, rm)
-        assert fast.cache_stats()["mul_overflow_skips"] == 1

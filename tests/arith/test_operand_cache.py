@@ -4,9 +4,9 @@
 operands from being re-encoded (or re-scanned for finiteness) every
 iteration.  These tests pin the contract: cached operands produce
 bit-identical results and an unchanged energy ledger versus both the
-un-pinned fast path and the legacy oracle, caches key on array identity
-(a different array under the same name re-encodes), legacy engines stay
-literal, and the NumPy-2 ``__array__(copy=...)`` protocol is honored.
+un-pinned engine and the reference engine, caches key on array identity
+(a different array under the same name re-encodes), and the NumPy-2
+``__array__(copy=...)`` protocol is honored.
 """
 
 import numpy as np
@@ -19,14 +19,13 @@ from repro.arith.engine import (
     ResidentMatrix,
 )
 from repro.arith.fixed import FixedPointFormat
+from repro.arith.reference import ReferenceEngine
 
 
 def _pair(bank32, mode_name, fmt=None):
     fmt = fmt if fmt is not None else FixedPointFormat(32, 16)
-    fast = ApproxEngine(bank32.by_name(mode_name), fmt, EnergyLedger(), fast_path=True)
-    legacy = ApproxEngine(
-        bank32.by_name(mode_name), fmt, EnergyLedger(), fast_path=False
-    )
+    fast = ApproxEngine(bank32.by_name(mode_name), fmt, EnergyLedger())
+    legacy = ReferenceEngine(bank32.by_name(mode_name), fmt, EnergyLedger())
     return fast, legacy
 
 
@@ -50,15 +49,6 @@ class TestPinnedVectors:
         second = fast.pin("rhs", other)
         assert first is not second
         np.testing.assert_array_equal(second.words, fast.fmt.encode(other))
-
-    def test_legacy_pin_stays_literal(self, bank32, rng):
-        _, legacy = _pair(bank32, "acc")
-        rhs = rng.uniform(-5, 5, size=16)
-        first = legacy.pin("rhs", rhs)
-        second = legacy.pin("rhs", rhs)
-        assert first is not second  # re-encoded every call
-        np.testing.assert_array_equal(first.words, second.words)
-        assert legacy.cache_stats()["pinned_operands"] == 0
 
     @pytest.mark.parametrize("mode", MODES)
     def test_pinned_chain_bit_identical_and_same_energy(self, bank32, rng, mode):
@@ -173,10 +163,10 @@ class TestPinnedMatrices:
 class TestReductionPlans:
     @pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 100, 101])
     def test_planned_reduce_matches_legacy_layout(self, bank32, rng, n):
-        fast, _ = _pair(bank32, "level3")
+        fast, legacy = _pair(bank32, "level3")
         q = fast.fmt.encode(rng.uniform(-50, 50, size=(n, 4)))
         np.testing.assert_array_equal(
-            fast._reduce_words(q.copy()), fast._reduce_words_concat(q.copy())
+            fast._reduce_words(q.copy()), legacy._reduce(q.copy())
         )
 
     @pytest.mark.parametrize("mode", MODES)
@@ -206,11 +196,6 @@ class TestReductionPlans:
         assert sum(half for half, _ in plan.levels) == 10
         assert plan.buf is not None and plan.buf.shape == (6, 4)
         assert ReductionPlan((8,)).buf is None  # pure power of two
-
-    def test_legacy_reduce_builds_no_plans(self, bank32, rng):
-        _, legacy = _pair(bank32, "acc")
-        legacy.sum(rng.uniform(-5, 5, size=(7, 3)), axis=0)
-        assert legacy.cache_stats()["reduce_plans"] == 0
 
 
 class TestArrayProtocol:

@@ -10,8 +10,15 @@ results and float-equal energy, per call, not just per run.
 import numpy as np
 import pytest
 
-from repro.arith.engine import ApproxEngine, EnergyLedger, ResidentVector
-from repro.arith.program import ProgramEngine
+from repro.arith import program
+from repro.arith.engine import (
+    ApproxEngine,
+    BatchedEnergyLedger,
+    BatchedEngine,
+    EnergyLedger,
+    ResidentVector,
+)
+from repro.arith.program import BatchedProgramEngine, ProgramEngine
 
 
 @pytest.fixture()
@@ -73,13 +80,6 @@ class TestCaptureReplayParity:
         assert prog.ledger.energy == oracle.ledger.energy
         assert prog.program is None
 
-    def test_fast_path_off_disables_capture(self, mode, fmt32):
-        prog = ProgramEngine(mode, fmt32, EnergyLedger(), fast_path=False)
-        assert prog.begin_iteration({"x": np.zeros(3)}) == "off"
-        prog.add(np.ones(3), np.ones(3))
-        assert prog.end_iteration() == ("interpreted", None)
-        assert prog.program is None
-
     def test_resident_chaining_survives_replay(self, mode, fmt32, rng):
         """Residents produced by one replayed step feed the next."""
         prog, oracle = _pair(mode, fmt32)
@@ -95,6 +95,45 @@ class TestCaptureReplayParity:
             assert got == float(oracle.dot(ob, ob))
             assert prog.ledger.energy == oracle.ledger.energy
             x = x * 0.9
+
+
+class TestCompileFailure:
+    @pytest.mark.parametrize("batched", [False, True], ids=["solo", "batched"])
+    def test_compile_failure_turns_capture_off(
+        self, mode, fmt32, rng, monkeypatch, batched
+    ):
+        """A recording the compiler cannot express closes interpreted,
+        and capture stays off for good: outputs and ledger are a plain
+        engine's."""
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("cannot compile")
+
+        if batched:
+            monkeypatch.setitem(program._B_COMPILERS, "add", broken)
+            prog = BatchedProgramEngine(mode, fmt32, BatchedEnergyLedger(3))
+            plain = BatchedEngine(mode, fmt32, BatchedEnergyLedger(3))
+            prog.select_lanes(np.arange(3))
+            plain.select_lanes(np.arange(3))
+            shape = (3, 8)
+        else:
+            monkeypatch.setitem(program._COMPILERS, "add", broken)
+            prog = ProgramEngine(mode, fmt32, EnergyLedger())
+            plain = ApproxEngine(mode, fmt32, EnergyLedger())
+            shape = (8,)
+        for window in ("record", "off", "off"):
+            a = rng.uniform(-1.0, 1.0, shape)
+            b = rng.uniform(-1.0, 1.0, shape)
+            assert prog.begin_iteration({"a": a}) == window
+            got = prog.add(a, b)
+            assert prog.end_iteration() == ("interpreted", None)
+            assert prog.program is None
+            np.testing.assert_array_equal(got, plain.add(a, b))
+        if batched:
+            for lane in range(3):
+                assert prog.ledger.lane_ledger(lane) == plain.ledger.lane_ledger(lane)
+        else:
+            assert prog.ledger == plain.ledger
 
 
 class TestBailouts:

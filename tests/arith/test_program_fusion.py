@@ -7,7 +7,7 @@ ledgers* — the fused paths are admissible only because each carries an
 interval proof that the reference clip/mask/scan it skips is a no-op.
 These tests run full solves on the one kernel set and compare against
 ``program_capture=False`` (the interpreted op-by-op executor), which is
-itself contract-checked against the legacy engine elsewhere.
+itself contract-checked against the reference engine elsewhere.
 """
 
 import numpy as np

@@ -4,8 +4,8 @@ The sparse datapath (:class:`~repro.arith.SparseResidentMatrix` through
 ``matvec`` / ``weighted_sum``) promises the repo's *exact* equivalence
 contract, not approximate: bit-identical iterates
 (``assert_array_equal``, no tolerance) and energy ledgers equal as
-floats against the ``fast_path=False`` dense-gather slow twin, through
-every fast layer — pinned operands, iteration-program capture/replay
+floats against :class:`~repro.arith.reference.ReferenceEngine`'s
+dense-gather reduce, through every fast layer — pinned operands, iteration-program capture/replay
 (including the fused ``csr_matvec_words`` backend route and its
 nnz-saturation bailout), and the batched lane engine.
 
@@ -13,7 +13,7 @@ Three tiers of evidence:
 
 * full framework runs (sparse Jacobi, CSR-built PageRank, sparse
   least-squares × incremental/adaptive) captured vs interpreted vs
-  legacy;
+  reference;
 * an exhaustive width-8 sweep: every one of the 65536 ``(a, b)`` word
   pairs reduced as an nnz-2 CSR row must equal the elementwise
   ``_add_words`` oracle, per adder mode;
@@ -28,13 +28,13 @@ import pytest
 from repro.apps.pagerank import PageRank
 from repro.arith.engine import (
     ApproxEngine,
-    BatchedEngine,
     EnergyLedger,
     SparseResidentMatrix,
 )
 from repro.arith.fixed import FixedPointFormat
 from repro.arith.modes import default_mode_bank
 from repro.arith.program import ProgramEngine
+from repro.arith.reference import ReferenceEngine
 from repro.core.framework import ApproxIt
 from repro.solvers import JacobiSolver, LeastSquaresGD
 
@@ -89,18 +89,13 @@ def _assert_runs_equal(a, b):
 
 @pytest.mark.parametrize("strategy", ONLINE_STRATEGIES)
 @pytest.mark.parametrize("workload", sorted(FACTORIES), ids=sorted(FACTORIES))
-def test_sparse_runs_match_slow_twin(workload, strategy):
-    """Captured fast runs == interpreted fast runs == the legacy
-    (pre-fast-path, dense-gather reduce) engine, bit for bit."""
+def test_sparse_runs_match_slow_twin(workload, strategy, reference_run):
+    """Captured fast runs == interpreted fast runs == the reference
+    (dense-gather reduce) engine, bit for bit."""
     framework = FACTORIES[workload]()
     captured = framework.run(strategy=strategy)
     interpreted = framework.run(strategy=strategy, program_capture=False)
-    saved = ApproxEngine.default_fast_path
-    try:
-        ApproxEngine.default_fast_path = False
-        legacy = framework.run(strategy=strategy, program_capture=False)
-    finally:
-        ApproxEngine.default_fast_path = saved
+    legacy = reference_run(framework, strategy)
     _assert_runs_equal(captured, interpreted)
     _assert_runs_equal(captured, legacy)
 
@@ -180,7 +175,7 @@ class TestWidth8Exhaustive:
     @pytest.mark.parametrize("mode_name", ["acc", "level2"])
     def test_random_segments_match_slow_twin(self, mode_name):
         """Mixed nnz lengths 0..8: fast bucketed reduce vs the
-        ``fast_path=False`` dense-gather twin, words and charges."""
+        reference engine's dense-gather reduce, words and charges."""
         rng = np.random.default_rng(5)
         n_rows = 200
         lengths = rng.integers(0, 9, size=n_rows)
@@ -198,7 +193,7 @@ class TestWidth8Exhaustive:
         fmt = FixedPointFormat(self.WIDTH, 0)
         mode = bank.by_name(mode_name)
         fast = ApproxEngine(mode, fmt, EnergyLedger())
-        slow = ApproxEngine(mode, fmt, EnergyLedger(), fast_path=False)
+        slow = ReferenceEngine(mode, fmt, EnergyLedger())
         np.testing.assert_array_equal(fast.matvec(sp, vec), slow.matvec(sp, vec))
         assert fast.ledger.adds == slow.ledger.adds
         assert fast.ledger.energy == slow.ledger.energy

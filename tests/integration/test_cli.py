@@ -26,6 +26,34 @@ class TestParser:
         assert args.trace == "traces"
         assert _build_parser().parse_args(["run"]).trace is None
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["table3", "--no-cache", "--trace", "DIR"], "--trace"),
+            (["suite", "--parallel", "2", "--batch-size", "8"], "--parallel"),
+            (["figure2", "--batch-size", "8"], "--batch-size"),
+            (["run", "--parallel", "2"], "--parallel"),
+            (["table3", "--parallel", "-1"], "--parallel"),
+            (["table3", "--parallel", "2", "--batch-size", "0"], "--batch-size"),
+        ],
+        ids=[
+            "trace-without-prewarm",
+            "parallel-on-suite",
+            "batch-size-without-parallel",
+            "parallel-on-run",
+            "negative-parallel",
+            "zero-batch-size",
+        ],
+    )
+    def test_rejects_flags_the_artifact_ignores(self, argv, flag, tmp_path, capsys):
+        argv = [str(tmp_path / "DIR") if arg == "DIR" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out.txt")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
+        assert not (tmp_path / "DIR").exists()
+
 
 class TestMain:
     def test_suite_to_stdout(self, capsys):
