@@ -1,4 +1,4 @@
-"""Sparse resident operands: CSR replay vs the reference engine.
+"""Sparse resident operands: the CSR matvec vs the reference engine.
 
 The flagship workload of the sparse datapath: web-scale PageRank on a
 synthetic 100k-node link graph (~8 out-links per node, power-law
@@ -16,7 +16,12 @@ reduce.  Parity is asserted before timing — bit-identical
 iterates and float-equal ledgers — so the gated floor can never be
 bought with numerical drift.
 
-The gated ``speedup`` is measured on the datapath iteration itself
+The approximate modes cannot fuse (their adders are not exact), so
+``sparse/approx_matvec_pagerank100k`` gates the path they run: one
+interpreted level-synchronous CSR matvec at ``level2``.
+
+The replay entry's gated ``speedup`` is measured on the datapath
+iteration itself
 (one captured-program replay of the 800k-entry matvec vs one reference
 engine call): that is the unit this subsystem owns.  The end-to-end
 solver-run ratio is recorded alongside as ``run_speedup`` — it is
@@ -29,7 +34,7 @@ iteration.
 import numpy as np
 
 from repro.apps.pagerank import PageRank
-from repro.arith.engine import EnergyLedger
+from repro.arith.engine import ApproxEngine, EnergyLedger
 from repro.arith.program import ProgramEngine
 from repro.arith.reference import ReferenceEngine
 from repro.core.framework import ApproxIt
@@ -114,6 +119,42 @@ def test_replay_pagerank100k(perf, reference_run):
         replay_run_s=round(t_replay_run, 4),
         legacy_run_s=round(t_legacy_run, 4),
         run_speedup=round(t_legacy_run / t_replay_run, 2),
+        speedup=round(speedup, 2),
+    )
+    assert speedup > 1.0
+
+
+def test_approx_matvec_pagerank100k(perf):
+    """The approximate-mode CSR matvec (gated at >= 2x by check_bench).
+
+    ``level2``'s adder is approximate, so no in-range proof fuses this
+    matvec: every characterization probe, capture and replay of an
+    approximate mode runs the level-synchronous reduce (one adder call
+    per tree level across all rows).  One interpreted ``ApproxEngine``
+    call against one reference engine call on the 100k-node web, after
+    words and ledger parity, timed in alternation."""
+    app = PageRank.random_web_csr(n_nodes=100_000, seed=11, out_degree=8.0)
+    framework = ApproxIt(app)
+    sp = app._link
+    vec = np.random.default_rng(0).uniform(size=sp.shape[1])
+    vec /= vec.sum()
+    mode = framework.bank.by_name("level2")
+    engine = ApproxEngine(mode, framework.fmt, EnergyLedger())
+    twin = ReferenceEngine(mode, framework.fmt, EnergyLedger())
+    np.testing.assert_array_equal(engine.matvec(sp, vec), twin.matvec(sp, vec))
+    assert engine.ledger == twin.ledger
+
+    t_engine, t_twin = perf.time_pair(
+        lambda: engine.matvec(sp, vec), lambda: twin.matvec(sp, vec), repeats=7
+    )
+    speedup = t_twin / t_engine
+    perf.record(
+        "sparse/approx_matvec_pagerank100k",
+        nodes=sp.shape[0],
+        nnz=sp.nnz,
+        adder_calls=len(sp.row_plan().levels),
+        engine_matvec_ms=round(t_engine * 1e3, 3),
+        reference_matvec_ms=round(t_twin * 1e3, 3),
         speedup=round(speedup, 2),
     )
     assert speedup > 1.0

@@ -11,7 +11,6 @@ These probe the design choices DESIGN.md calls out:
   motivation).
 """
 
-import numpy as np
 import pytest
 
 from repro.apps.gmm import GaussianMixtureEM

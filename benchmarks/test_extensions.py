@@ -12,7 +12,6 @@
   checks the answer still matches Truth.
 """
 
-import numpy as np
 import pytest
 
 from repro.apps.gmm import GaussianMixtureEM

@@ -40,6 +40,7 @@ REQUIRED_ENTRIES = (
     "e2e/replay_lsq120",
     "sparse/jacobi240_vs_dense",
     "sparse/replay_pagerank100k",
+    "sparse/approx_matvec_pagerank100k",
 )
 
 #: Per-entry floors overriding ``--min-speedup`` where an optimization
@@ -62,6 +63,9 @@ REQUIRED_ENTRIES = (
 #: share the exact control loop by the parity contract.  The jacobi240
 #: sparse/dense pair promises that routing the same system through CSR
 #: instead of the dense resident path is a strict win, not a wash.
+#: The approximate-mode CSR matvec (no fusion proof applies) must run at
+#: least 2x the reference engine's per-length trees: one adder call per
+#: tree level across all rows, not one per nnz length and level.
 ENTRY_FLOORS = {
     "e2e/replay_jacobi80": 2.0,
     "e2e/replay_jacobi240": 5.0,
@@ -70,6 +74,7 @@ ENTRY_FLOORS = {
     "batched/replay_gmm_b16": 1.6,
     "sparse/jacobi240_vs_dense": 1.3,
     "sparse/replay_pagerank100k": 10.0,
+    "sparse/approx_matvec_pagerank100k": 2.0,
 }
 
 

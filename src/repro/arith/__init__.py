@@ -14,7 +14,7 @@ methods in :mod:`repro.solvers` / :mod:`repro.apps`:
 * :class:`ResidentMatrix` — a pinned multiplicative constant whose
   products skip the per-call finiteness scan (``engine.pin_matrix``);
 * :class:`SparseResidentMatrix` / :class:`SparseReductionPlan` — the
-  CSR sparse operand and its per-row segment-reduce schedule: matvec /
+  CSR sparse operand and its level-synchronous per-row reduce: matvec /
   weighted_sum accumulate each output row's own nnz products through
   the approximate adder (``nnz_i - 1`` adds per row);
 * :class:`BatchedEngine` / :class:`LaneStack` /

@@ -176,40 +176,58 @@ class ResidentMatrix:
 
 
 class SparseReductionPlan:
-    """Per-row tree-reduce schedule over variable-length nnz segments.
+    """Level-synchronous tree-reduce schedule over every CSR row at once.
 
-    Pure CSR geometry, engine-independent: rows are grouped by nnz
-    length, and each group carries a precomputed ``(g, L)`` gather-index
-    slab into the flat product array.  A sparse matvec then reduces one
-    contiguous ``(L, g)`` slab per group through the engine's ordinary
-    balanced-tree :meth:`~ApproxEngine._reduce_words` — incremental
-    saturation bounds and the dense plan cache apply unchanged.
-
-    Groups are visited in ascending segment length, rows within a group
-    in row order; this ordering is part of the ledger contract (both
-    engine paths and program replay follow it).
+    Pure CSR geometry, engine-independent.  Each row folds its balanced
+    tree in place at its own CSR positions: at each level a row of
+    current length ``L`` adds ``start + L//2 + j`` into ``start + j``
+    (``j < L//2``) and, when ``L`` is odd, moves its tail ``start +
+    2*(L//2)`` to ``start + L//2`` — the ``(half, odd)`` walk of
+    :func:`~repro.hardware.bitops.reduction_levels`, with one adder call
+    per level across all rows (:func:`_reduce_csr_rows`).
 
     Attributes:
         n_rows: number of matrix rows (empty rows included).
-        buckets: list of ``(length, rows, gather)`` with ``rows`` the
-            row indices of that nnz length and ``gather`` the ``(g, L)``
-            int64 indices of their products; zero-length rows are
-            omitted (their output word is the encoded zero).
+        levels: per tree level, the ``(a, b, tail_src, tail_dst)``
+            ``intp`` position arrays.
+        heads / head_rows: first position of every non-empty row (its
+            sum after the last level) and those rows; empty rows emit
+            the zero word.
+        counts: add counts in ledger order — nnz lengths ascending,
+            each length's levels root-ward, ``half`` times its rows.
     """
 
-    __slots__ = ("n_rows", "buckets")
+    __slots__ = ("n_rows", "levels", "heads", "head_rows", "counts")
 
     def __init__(self, indptr: np.ndarray):
-        indptr = np.asarray(indptr, dtype=np.int64)
+        # intp: NumPy converts any other index dtype on every use.
+        indptr = np.asarray(indptr, dtype=np.intp)
         self.n_rows = int(indptr.size - 1)
-        row_nnz = np.diff(indptr)
-        self.buckets: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for length in np.unique(row_nnz):
-            if length == 0:
-                continue
-            rows = np.nonzero(row_nnz == length)[0]
-            gather = indptr[rows][:, None] + np.arange(int(length), dtype=np.int64)
-            self.buckets.append((int(length), rows, gather))
+        lengths = np.diff(indptr)
+        self.head_rows = np.flatnonzero(lengths)
+        self.heads = indptr[self.head_rows]
+        nnz, rows = np.unique(lengths[self.head_rows], return_counts=True)
+        self.counts = tuple(
+            half * int(g)
+            for length, g in zip(nnz.tolist(), rows)
+            for half, _odd in bitops.reduction_levels(length)
+        )
+        levels = []
+        live = lengths > 1
+        start, cur = indptr[:-1][live], lengths[live]
+        while cur.size:
+            half = cur // 2
+            # Pair j of a row sits at start + j: one arange over all
+            # pairs, shifted per row by start minus the pairs before it.
+            shift = np.repeat(start - (np.cumsum(half) - half), half)
+            a = np.arange(int(half.sum()), dtype=np.intp) + shift
+            odd = (cur & 1).astype(bool)
+            tails = (start[odd] + 2 * half[odd], start[odd] + half[odd])
+            levels.append((a, a + np.repeat(half, half)) + tails)
+            cur = cur - half
+            live = cur > 1
+            start, cur = start[live], cur[live]
+        self.levels = tuple(levels)
 
 
 class SparseResidentMatrix:
@@ -404,14 +422,13 @@ class SparseResidentMatrix:
         )
 
     def diagonal(self) -> np.ndarray:
-        """The stored main diagonal (zeros where no entry is stored)."""
-        n = min(self.shape)
-        out = np.zeros(n, dtype=np.float64)
-        for i in range(n):
-            lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
-            j = np.searchsorted(self.indices[lo:hi], i)
-            if j < hi - lo and self.indices[lo + j] == i:
-                out[i] = self.data[lo + j]
+        """The stored main diagonal (zeros where no entry is stored; a
+        row storing its diagonal column twice reads the first entry)."""
+        out = np.zeros(min(self.shape), dtype=np.float64)
+        row_ids = self.row_ids()
+        hits = np.flatnonzero(self.indices == row_ids)
+        rows, first = np.unique(row_ids[hits], return_index=True)
+        out[rows] = self.data[hits[first]]
         return out
 
     def toarray(self) -> np.ndarray:
@@ -558,6 +575,37 @@ class ReductionPlan:
                 # Widest odd level comes first (sizes only shrink).
                 self.buf = np.empty((half + 1,) + shape[1:], dtype=np.int64)
                 break
+
+
+def _reduce_csr_rows(engine, plan: SparseReductionPlan, q: np.ndarray) -> np.ndarray:
+    """Reduce every CSR row's tree in place, one adder call per level.
+
+    ``q`` holds the encoded products at their CSR positions on its last
+    axis (``(nnz,)`` solo, ``(B, nnz)`` lane-stacked) and is overwritten.
+    The adder and the saturating output stage are elementwise, so the
+    words equal each row's own tree walk whichever rows share a call;
+    the precheck runs once per level so a recording program engine logs
+    it.  Charges nothing: interpreted engines charge ``plan.counts``,
+    replay steps their recorded charges.  Returns ``(..., n_rows)``.
+    """
+    adder, add_signed = engine.mode.adder, engine.backend.add_signed
+    saturating = engine.fmt.overflow == "saturate"
+    lo, hi = engine._signed_lo, engine._signed_hi
+    lane_axis = () if q.ndim == 1 else (0,)
+    for a_pos, b_pos, tail_src, tail_dst in plan.levels:
+        qa = q[..., a_pos]
+        qb = q[..., b_pos]
+        sums = add_signed(adder, qa, qb)
+        if saturating and engine._saturation_needed(qa, qb, None, None, *lane_axis):
+            true = qa + qb
+            overflowed = (true < lo) | (true > hi)
+            if np.any(overflowed):
+                sums = np.where(overflowed, np.clip(true, lo, hi), sums)
+        q[..., a_pos] = sums
+        q[..., tail_dst] = q[..., tail_src]
+    out = np.zeros(q.shape[:-1] + (plan.n_rows,), dtype=np.int64)
+    out[..., plan.head_rows] = q[..., plan.heads]
+    return out
 
 
 def _trusted_product(constant, varying: np.ndarray) -> bool:
@@ -961,20 +1009,19 @@ class ApproxEngine:
         """``sp @ vec`` as fixed-point words: exact nnz products, then
         one approximate tree-reduce per row over its own segment.
 
-        Execution is bucket-ordered by the row plan (ascending nnz
-        length, rows in index order): each bucket gathers its products
-        into an ``(L, g)`` slab and reduces it through
-        :meth:`_reduce_words`, so per-level charge order and incremental
-        saturation bounds are inherited from the dense reduction.  Empty
-        rows emit the encoded zero word without touching the adder.
+        Every row's tree folds in place through :func:`_reduce_csr_rows`,
+        one adder call per tree level across all rows; the charges
+        follow in the row plan's ledger order (ascending nnz length,
+        levels root-ward).  Empty rows emit the zero word without
+        touching the adder.
         """
         products = sp.data * vec[sp.indices]
         trusted = _trusted_product(sp, vec)
         q = self.fmt.encode(products, assume_finite=trusted)
         plan = sp.row_plan()
-        out = np.zeros(sp.shape[0], dtype=np.int64)
-        for _length, rows, gather in plan.buckets:
-            out[rows] = self._reduce_words(q[gather].T)
+        out = _reduce_csr_rows(self, plan, q)
+        for n in plan.counts:
+            self._charge(self.mode.name, n, self.mode.energy_per_add)
         return out
 
     def matvec(self, matrix, vector, *, resident: bool = False):
@@ -1524,8 +1571,8 @@ class BatchedEngine:
         the saturating output stage are elementwise, so each lane's
         slice is bit-identical to a solo add; the charge fans out as
         ``size // lanes`` adds to every selected lane."""
-        if self.lane_ids is None:
-            raise RuntimeError("call select_lanes() before issuing kernels")
+        lanes = qa.shape[lane_axis]
+        self._check_lanes(lanes)
         out = self.backend.add_signed(self.mode.adder, qa, qb)
         if self.fmt.overflow == "saturate" and self._saturation_needed(
             qa, qb, bounds_a, bounds_b, lane_axis
@@ -1535,17 +1582,22 @@ class BatchedEngine:
             overflowed = (true < lo) | (true > hi)
             if np.any(overflowed):
                 out = np.where(overflowed, np.clip(true, lo, hi), out)
-        lanes = qa.shape[lane_axis]
-        if lanes != self.lane_ids.shape[0]:
-            raise ValueError(
-                f"operand has {lanes} lanes but {self.lane_ids.shape[0]} "
-                "are selected"
-            )
         n_per_lane = int(qa.size) // lanes
         self._charge_lanes(
             self.mode.name, n_per_lane, self.mode.energy_per_add
         )
         return out
+
+    def _check_lanes(self, lanes: int) -> None:
+        """Charges go to the selected lanes: require a selection of the
+        operand's lane count."""
+        if self.lane_ids is None:
+            raise RuntimeError("call select_lanes() before issuing kernels")
+        if lanes != self.lane_ids.shape[0]:
+            raise ValueError(
+                f"operand has {lanes} lanes but {self.lane_ids.shape[0]} "
+                "are selected"
+            )
 
     def _charge_lanes(
         self, mode_name: str, adds_per_lane: int, energy_per_add: float
@@ -1719,18 +1771,19 @@ class BatchedEngine:
         self, sp: SparseResidentMatrix, xs: np.ndarray
     ) -> np.ndarray:
         """Lane-stacked ``sp @ xs[lane]`` as words: the batched twin of
-        :meth:`ApproxEngine._sparse_matvec_words`.  Each bucket's
-        ``(B, g, L)`` product gather is reduced as an ``(L, B, g)`` slab
-        through the lane-aware :meth:`_reduce_words` (``lane_axis=1``
-        inside), so every lane slice walks the identical tree — and
-        draws the identical charges — as a solo engine on that lane."""
+        :meth:`ApproxEngine._sparse_matvec_words`.  The ``(B, nnz)``
+        product stack folds through the same :func:`_reduce_csr_rows`,
+        so every lane slice walks the identical trees — and draws the
+        identical charges, per selected lane — as a solo engine on that
+        lane."""
+        self._check_lanes(xs.shape[0])
         products = sp.data[np.newaxis, :] * xs[:, sp.indices]
         trusted = _trusted_product(sp, xs)
         q = self.fmt.encode(products, assume_finite=trusted)
         plan = sp.row_plan()
-        out = np.zeros((xs.shape[0], sp.shape[0]), dtype=np.int64)
-        for _length, rows, gather in plan.buckets:
-            out[:, rows] = self._reduce_words(np.moveaxis(q[:, gather], 2, 0))
+        out = _reduce_csr_rows(self, plan, q)
+        for n in plan.counts:
+            self._charge_lanes(self.mode.name, n, self.mode.energy_per_add)
         return out
 
     def matvec(self, matrix, x, *, resident: bool = False):

@@ -43,6 +43,8 @@ finishes interpreted and the next one re-records):
   ``"shorter-iteration"``);
 * an add whose recorded saturation precheck said "in range" now
   overflowing (``"saturation"``);
+* a recording the compiler cannot express (``"compile"``): reported
+  once, after which capture stays off for the engine's lifetime;
 * function-scheme rollbacks invalidate every engine's program up front
   (driven by :class:`~repro.core.framework.ApproxIt`), so the retried
   iteration re-records; a mode switch selects that mode's own engine
@@ -66,6 +68,7 @@ from repro.arith.engine import (
     ResidentMatrix,
     ResidentVector,
     SparseResidentMatrix,
+    _reduce_csr_rows,
 )
 
 _IDLE = "idle"
@@ -857,8 +860,9 @@ class _SparseMatvecStep:
     ``nnz_max * W <= hi`` and ``nnz_max * W < 2**53`` bound every
     partial sum of every row's segment, licensing the fused
     single-pass :meth:`~repro.backends.base.KernelBackend.csr_matvec_words`.
-    Otherwise each nnz-length bucket's ``(L, g)`` slab replays through
-    :func:`_replay_reduce` with the recorded aggregate saturation flag.
+    Otherwise the products fold through the interpreted engines' own
+    level-synchronous :func:`~repro.arith.engine._reduce_csr_rows`, and
+    the step keeps its recorded charges.
     """
 
     __slots__ = (
@@ -869,7 +873,6 @@ class _SparseMatvecStep:
         "obj",
         "sp",
         "res_vec",
-        "plans",
         "resident",
         "bufs",
     )
@@ -883,10 +886,6 @@ class _SparseMatvecStep:
         self.obj = operand
         self.sp = sp
         self.res_vec = _float_operand(engine, vec_arg, slots)
-        self.plans = tuple(
-            (length, rows, gather, _get_plan(engine, (length, rows.shape[0])))
-            for length, rows, gather in sp.row_plan().buckets
-        )
         self.bufs: dict = {}
 
     def replay(self, engine, args):
@@ -907,9 +906,7 @@ class _SparseMatvecStep:
             return engine._emit(out, self.resident)
         products = sp.data * vec[sp.indices]
         q = _trusted_encode(engine, products, vec, sp.abs_max, True)
-        out = np.zeros(sp.shape[0], dtype=np.int64)
-        for _length, rows, gather, plan in self.plans:
-            out[rows] = _replay_reduce(engine, q[gather].T, plan, self.sat)
+        out = _reduce_csr_rows(engine, sp.row_plan(), q)
         return engine._emit(out, self.resident)
 
 
@@ -1157,8 +1154,10 @@ class _ProgramCapture:
         Returns ``(execution, bailout_reason)``: execution is
         ``"captured"`` / ``"replayed"`` / ``"interpreted"``; the reason
         is non-``None`` exactly when a replay bailed (the program was
-        dropped and the next iteration re-records).  Flushes a replay's
-        deferred charges through one ordered :meth:`_flush`.
+        dropped and the next iteration re-records) or, as
+        ``"compile"``, when a recording failed to compile (capture then
+        stays off).  Flushes a replay's deferred charges through one
+        ordered :meth:`_flush`.
         """
         state = self._pstate
         execution = "interpreted"
@@ -1172,9 +1171,10 @@ class _ProgramCapture:
                 except Exception:
                     # Structure the compiler cannot express: stay on the
                     # interpreted path for good rather than re-fail
-                    # every iteration.
+                    # every iteration, and report it once.
                     self.program = None
                     self._program_unsupported = True
+                    reason = "compile"
                 else:
                     self.program_captures += 1
                     execution = "captured"
@@ -1278,6 +1278,7 @@ class _ProgramCapture:
         stats["program_replays"] = self.program_replays
         stats["program_bailouts"] = self.program_bailouts
         stats["program_cached"] = int(self.program is not None)
+        stats["program_compile_failed"] = int(self._program_unsupported)
         return stats
 
 
@@ -1764,10 +1765,12 @@ class _BSparseMatvecStep:
     × ``(L, N)`` stack, per-row segment accumulation per lane.
 
     Identity-only operand resolution, as in the solo
-    :class:`_SparseMatvecStep`.  The lane-count-dependent slab plans
-    are fetched per replay (the active lane group shrinks as lanes
-    finish), sharing the engine's dense plan cache; the fused route
-    runs the fused CSR kernel over the whole stack at once.
+    :class:`_SparseMatvecStep`.  The fused route runs the fused CSR
+    kernel over the whole stack at once; otherwise the ``(B, nnz)``
+    product stack folds through
+    :func:`~repro.arith.engine._reduce_csr_rows`, whose schedule does
+    not depend on the lane count, so the active lane group may shrink
+    between replays.
     """
 
     __slots__ = (
@@ -1778,7 +1781,6 @@ class _BSparseMatvecStep:
         "obj",
         "sp",
         "res_vec",
-        "buckets",
         "resident",
         "bufs",
     )
@@ -1792,7 +1794,6 @@ class _BSparseMatvecStep:
         self.obj = operand
         self.sp = sp
         self.res_vec = _b_float_operand(engine, vec_arg, slots, lanes)
-        self.buckets = tuple(sp.row_plan().buckets)
         self.bufs: dict = {}
 
     def replay(self, engine, args):
@@ -1813,11 +1814,7 @@ class _BSparseMatvecStep:
             return engine._emit(out, self.resident)
         products = sp.data[np.newaxis, :] * xs[:, sp.indices]
         q = _trusted_encode(engine, products, xs, sp.abs_max, True)
-        out = np.zeros((xs.shape[0], sp.shape[0]), dtype=np.int64)
-        for _length, rows, gather in self.buckets:
-            slab = np.moveaxis(q[:, gather], 2, 0)
-            plan = _get_plan(engine, slab.shape)
-            out[:, rows] = _replay_reduce(engine, slab, plan, self.sat)
+        out = _reduce_csr_rows(engine, sp.row_plan(), q)
         return engine._emit(out, self.resident)
 
 

@@ -20,12 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arith.engine import (
-    EnergyLedger,
-    ResidentMatrix,
-    SparseReductionPlan,
-    SparseResidentMatrix,
-)
+from repro.arith.engine import EnergyLedger, ResidentMatrix, SparseResidentMatrix
 from repro.arith.fixed import FixedPointFormat
 from repro.arith.modes import ApproxMode
 from repro.hardware import bitops
@@ -89,12 +84,15 @@ class ReferenceEngine:
         return q[0]
 
     def _csr(self, sp: SparseResidentMatrix, vec: np.ndarray) -> np.ndarray:
-        """``sp @ vec``: one tree per row over its stored products, nnz
-        buckets in ascending order (the ledger order)."""
+        """``sp @ vec``: one tree per row over its stored products, the
+        rows of each nnz length reduced together, lengths ascending (the
+        ledger order)."""
         q = self.fmt.encode(sp.data * vec[sp.indices])
+        lengths = np.diff(sp.indptr)
         out = np.zeros(sp.shape[0], dtype=np.int64)
-        for _length, rows, gather in SparseReductionPlan(sp.indptr).buckets:
-            out[rows] = self._reduce(q[gather].T)
+        for length in np.unique(lengths[lengths > 0]):
+            rows = np.flatnonzero(lengths == length)
+            out[rows] = self._reduce(q[sp.indptr[rows, None] + np.arange(length)].T)
         return self.fmt.decode(out)
 
     # ------------------------------------------------------------------

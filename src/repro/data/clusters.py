@@ -18,7 +18,7 @@ clusters — the failure mode Figure 3(e) of the paper shows for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -56,7 +56,9 @@ class TraceSummary:
         program_replays: iterations whose engine ops were driven by a
             compiled program (``detail["execution"] == "replayed"``).
         program_bailouts: replays that diverged and fell back to the
-            interpreted path (``program_bailout`` events).
+            interpreted path, plus recordings that failed to compile
+            (``program_bailout`` events; the latter carry reason
+            ``"compile"``).
         program_lane_bailouts: lane-weighted bailout count of a batched
             (``run_batch``) trace — each lane of a bailing lane-group
             contributes one (its ``program_bailout`` event carries the
@@ -92,6 +94,10 @@ def summarize_trace(
             reconstructing that lane's solo counters exactly.  ``None``
             (default) counts every event, which on a batch trace
             aggregates all lanes.
+
+    Bailouts count every ``program_bailout`` event: replays that fell
+    back to the interpreted path and recordings whose compile failed
+    (reason ``"compile"``, after which that engine captures no more).
     """
     summary = TraceSummary()
     for event in _coerce_events(trace):

@@ -19,6 +19,9 @@ from repro.arith.engine import (
     ResidentVector,
 )
 from repro.arith.program import BatchedProgramEngine, ProgramEngine
+from repro.core.framework import ApproxIt
+from repro.obs import TraceRecorder, summarize_trace
+from repro.solvers import JacobiSolver
 
 
 @pytest.fixture()
@@ -121,19 +124,54 @@ class TestCompileFailure:
             prog = ProgramEngine(mode, fmt32, EnergyLedger())
             plain = ApproxEngine(mode, fmt32, EnergyLedger())
             shape = (8,)
-        for window in ("record", "off", "off"):
+        assert prog.cache_stats()["program_compile_failed"] == 0
+        for window, reason in (("record", "compile"), ("off", None), ("off", None)):
             a = rng.uniform(-1.0, 1.0, shape)
             b = rng.uniform(-1.0, 1.0, shape)
             assert prog.begin_iteration({"a": a}) == window
             got = prog.add(a, b)
-            assert prog.end_iteration() == ("interpreted", None)
+            assert prog.end_iteration() == ("interpreted", reason)
             assert prog.program is None
             np.testing.assert_array_equal(got, plain.add(a, b))
+        assert prog.cache_stats()["program_compile_failed"] == 1
         if batched:
             for lane in range(3):
                 assert prog.ledger.lane_ledger(lane) == plain.ledger.lane_ledger(lane)
         else:
             assert prog.ledger == plain.ledger
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["solo", "batched"])
+    def test_compile_failure_is_one_traced_bailout(self, monkeypatch, batched):
+        """Through the online loop a failed compile shows as one
+        ``program_bailout`` event (reason ``compile``) and a cache-stats
+        flag, not as a silent capture-off run; results stay those of
+        the interpreted run."""
+
+        def broken(self, recorder):
+            raise RuntimeError("cannot compile")
+
+        engine_cls = BatchedProgramEngine if batched else ProgramEngine
+        monkeypatch.setattr(engine_cls, "_compile", broken)
+        n = 12
+        matrix = 2.05 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        rhs = np.random.default_rng(3).uniform(-1.0, 1.0, n)
+        framework = ApproxIt(JacobiSolver(matrix, rhs, max_iter=30))
+        recorder = TraceRecorder()
+        if batched:
+            (got,) = framework.run_batch(["static:level2"], observer=recorder)
+        else:
+            got = framework.run("static:level2", observer=recorder)
+        want = framework.run("static:level2", program_capture=False)
+        np.testing.assert_array_equal(got.x, want.x)
+        assert got.energy == want.energy
+
+        bailouts = [e for e in recorder.events if e.kind == "program_bailout"]
+        assert len(bailouts) == 1
+        assert bailouts[0].detail["reason"] == "compile"
+        assert summarize_trace(recorder.events).program_bailouts == 1
+        assert recorder.metrics.counters["program.bailouts"] == 1
+        assert recorder.metrics.gauges["engine.level2.program_compile_failed"] == 1
+        assert recorder.metrics.gauges["engine.level4.program_compile_failed"] == 0
 
 
 class TestBailouts:

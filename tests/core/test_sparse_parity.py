@@ -5,9 +5,10 @@ The sparse datapath (:class:`~repro.arith.SparseResidentMatrix` through
 contract, not approximate: bit-identical iterates
 (``assert_array_equal``, no tolerance) and energy ledgers equal as
 floats against :class:`~repro.arith.reference.ReferenceEngine`'s
-dense-gather reduce, through every fast layer — pinned operands, iteration-program capture/replay
-(including the fused ``csr_matvec_words`` backend route and its
-nnz-saturation bailout), and the batched lane engine.
+per-length trees, through every fast layer — pinned operands,
+iteration-program capture/replay (including the fused
+``csr_matvec_words`` backend route and its nnz-saturation bailout),
+and the batched lane engine.
 
 Three tiers of evidence:
 
@@ -16,7 +17,9 @@ Three tiers of evidence:
   reference;
 * an exhaustive width-8 sweep: every one of the 65536 ``(a, b)`` word
   pairs reduced as an nnz-2 CSR row must equal the elementwise
-  ``_add_words`` oracle, per adder mode;
+  ``_add_words`` oracle, per adder mode; plus ragged rows of every nnz
+  length 0..40 that overflow the word, per mode and overflow policy,
+  with equal charge *sequences*;
 * targeted replay-fusion gating: the fused kernel must engage exactly
   when the per-row in-range proof holds, and parity must survive
   either way.
@@ -28,12 +31,14 @@ import pytest
 from repro.apps.pagerank import PageRank
 from repro.arith.engine import (
     ApproxEngine,
+    BatchedEnergyLedger,
+    BatchedEngine,
     EnergyLedger,
     SparseResidentMatrix,
 )
 from repro.arith.fixed import FixedPointFormat
 from repro.arith.modes import default_mode_bank
-from repro.arith.program import ProgramEngine
+from repro.arith.program import BatchedProgramEngine, ProgramEngine
 from repro.arith.reference import ReferenceEngine
 from repro.core.framework import ApproxIt
 from repro.solvers import JacobiSolver, LeastSquaresGD
@@ -129,11 +134,29 @@ def test_batched_sparse_lanes_match_solo_runs():
         _assert_runs_equal(batch_run, framework.run(strategy=spec))
 
 
+class _ChargeLog:
+    """Ledger observer keeping every ``(mode, n_adds, cost)`` charge in
+    order: equal totals alone could hide a reordered charge sequence."""
+
+    def __init__(self):
+        self.charges = []
+
+    def on_charge(self, mode_name, n_adds, cost):
+        self.charges.append((mode_name, n_adds, cost))
+
+
 class TestWidth8Exhaustive:
     """Every (a, b) word pair at width 8, reduced as an nnz-2 CSR row,
     must equal the elementwise ``_add_words`` oracle — the segment
     reduce is *made of* adder calls, with no sparse-specific arithmetic
-    allowed to creep in."""
+    allowed to creep in.
+
+    The ragged cases pin the level-synchronous reduce to the reference
+    engine's per-length trees: rows of every nnz length 0..40 (empty and
+    single-entry rows included, lengths shuffled across rows), integer
+    products that overflow the width-8 word, every mode of the bank and
+    both overflow policies — equal words, ledgers and charge sequences
+    through the interpreted, batched and captured/replayed engines."""
 
     WIDTH = 8
 
@@ -174,8 +197,8 @@ class TestWidth8Exhaustive:
 
     @pytest.mark.parametrize("mode_name", ["acc", "level2"])
     def test_random_segments_match_slow_twin(self, mode_name):
-        """Mixed nnz lengths 0..8: fast bucketed reduce vs the
-        reference engine's dense-gather reduce, words and charges."""
+        """Mixed nnz lengths 0..8: level-synchronous reduce vs the
+        reference engine's per-length trees, words and charges."""
         rng = np.random.default_rng(5)
         n_rows = 200
         lengths = rng.integers(0, 9, size=n_rows)
@@ -200,11 +223,100 @@ class TestWidth8Exhaustive:
         expected_adds = int(np.maximum(lengths - 1, 0).sum())
         assert fast.ledger.adds_by_mode[mode.name] == expected_adds
 
+    COLS = 48
+    MODES = [mode.name for mode in default_mode_bank(8)]
+
+    def _setup(self, overflow, mode_name, seed=0):
+        rng = np.random.default_rng(seed)
+        lengths = rng.permutation(np.repeat(np.arange(41), 3))
+        indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        indices = np.concatenate(
+            [np.sort(rng.choice(self.COLS, k, replace=False)) for k in lengths]
+        )
+        data = rng.integers(-128, 128, int(indptr[-1])).astype(np.float64)
+        sp = SparseResidentMatrix(data, indices, indptr, (lengths.size, self.COLS))
+        fmt = FixedPointFormat(self.WIDTH, 0, overflow=overflow)
+        mode = default_mode_bank(self.WIDTH).by_name(mode_name)
+        vecs = rng.choice([-1.0, 1.0], size=(3, self.COLS))
+        return sp, fmt, mode, vecs
+
+    def _reference(self, mode, fmt, calls):
+        """Reference words of each ``(kind, vec)`` call on one ledger."""
+        log = _ChargeLog()
+        ref = ReferenceEngine(mode, fmt, EnergyLedger(observer=log))
+        words = [getattr(ref, kind)(*args) for kind, args in calls]
+        return words, ref.ledger, log.charges
+
+    @pytest.mark.parametrize("overflow", ["saturate", "wrap"])
+    @pytest.mark.parametrize("mode_name", MODES)
+    def test_interpreted_matches_reference(self, mode_name, overflow):
+        sp, fmt, mode, vecs = self._setup(overflow, mode_name)
+        w = np.resize(vecs[1], sp.shape[0])
+        calls = [("matvec", (sp, vecs[0])), ("weighted_sum", (w, sp))]
+        want, ledger, charges = self._reference(mode, fmt, calls)
+        log = _ChargeLog()
+        fast = ApproxEngine(mode, fmt, EnergyLedger(observer=log))
+        for (kind, args), expected in zip(calls, want):
+            np.testing.assert_array_equal(getattr(fast, kind)(*args), expected)
+        if overflow == "saturate":
+            assert np.any(np.abs(want[0]) >= 127)  # rows hit the clamp
+        assert fast.ledger == ledger
+        assert log.charges == charges
+
+    @pytest.mark.parametrize("overflow", ["saturate", "wrap"])
+    @pytest.mark.parametrize("mode_name", MODES)
+    def test_lane_stack_matches_solo_runs(self, mode_name, overflow):
+        sp, fmt, mode, vecs = self._setup(overflow, mode_name, seed=1)
+        for engine_cls in (BatchedEngine, BatchedProgramEngine):
+            log = _ChargeLog()
+            engine = engine_cls(mode, fmt, BatchedEnergyLedger(3, observer=log))
+            engine.select_lanes(np.arange(3))
+            stacks = [vecs, vecs[::-1].copy()]
+            outs = []
+            for k, xs in enumerate(stacks):
+                if engine_cls is BatchedProgramEngine:
+                    window = engine.begin_iteration({"X": xs})
+                    assert window == ("record", "replay")[k]
+                outs.append(engine.matvec(sp, xs))
+                if engine_cls is BatchedProgramEngine:
+                    assert engine.end_iteration() == (("captured", "replayed")[k], None)
+            for lane in range(3):
+                calls = [("matvec", (sp, xs[lane])) for xs in stacks]
+                want, ledger, charges = self._reference(mode, fmt, calls)
+                for out, expected in zip(outs, want):
+                    np.testing.assert_array_equal(fmt.decode(out[lane]), expected)
+                assert engine.ledger.lane_ledger(lane) == ledger
+            assert log.charges == [(m, 3 * n, 3 * c) for m, n, c in charges]
+
+    @pytest.mark.parametrize("overflow", ["saturate", "wrap"])
+    @pytest.mark.parametrize("mode_name", MODES)
+    def test_capture_then_replay_matches_reference(self, mode_name, overflow):
+        """Capture on one iterate, replay on two more: the replay runs
+        the unfused route (the ``nnz_max * W`` proof fails at width 8)
+        and keeps its recorded charges."""
+        sp, fmt, mode, vecs = self._setup(overflow, mode_name, seed=2)
+        log = _ChargeLog()
+        prog = ProgramEngine(mode, fmt, EnergyLedger(observer=log))
+        got = []
+        for k, vec in enumerate(vecs):
+            assert prog.begin_iteration({"x": vec}) == ("replay" if k else "record")
+            got.append(prog.matvec(sp, vec))
+            assert prog.end_iteration() == (("replayed" if k else "captured"), None)
+        want, ledger, charges = self._reference(
+            mode, fmt, [("matvec", (sp, vec)) for vec in vecs]
+        )
+        for out, expected in zip(got, want):
+            np.testing.assert_array_equal(out, expected)
+        assert prog.ledger == ledger
+        assert log.charges == charges
+
 
 class TestReplayFusionGate:
     """The fused CSR replay kernel engages exactly when the
     ``nnz_max * W`` in-range proof holds; a matrix with one hot row
-    must fall back to the bucketed replay — and stay bit-identical."""
+    must fall back to the level-synchronous replay — and stay
+    bit-identical."""
 
     def _capture_and_replay(self, sp, make_vec, monkeypatch):
         calls = {"n": 0}
@@ -248,8 +360,8 @@ class TestReplayFusionGate:
 
     def test_hot_row_disables_fusion_but_keeps_parity(self, monkeypatch):
         """One row whose nnz * W bound overflows the word: the proof
-        fails, the fused kernel must not run, and the bucketed replay
-        still matches the interpreted oracle exactly."""
+        fails, the fused kernel must not run, and the level-synchronous
+        replay still matches the interpreted oracle exactly."""
         dense = np.zeros((20, 20))
         dense[3, :] = 2000.0  # hot row: nnz=20, 20*W overflows the word
         for i in range(20):

@@ -7,7 +7,6 @@ running a full solver.
 import numpy as np
 import pytest
 
-from repro.arith.fixed import FixedPointFormat
 from repro.core.characterize import CharacterizationTable, ModeImpact
 from repro.core.strategies.adaptive import AdaptiveAngleStrategy
 from repro.core.strategies.base import Observation

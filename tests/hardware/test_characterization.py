@@ -1,11 +1,9 @@
 """Tests for the low-level error-metric characterization."""
 
-import numpy as np
 import pytest
 
 from repro.hardware.adders import ExactAdder, LowerOrAdder, TruncatedAdder, build_adder
 from repro.hardware.characterization import (
-    AdderErrorProfile,
     characterize_adder,
     compare_levels,
 )

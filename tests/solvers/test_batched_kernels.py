@@ -11,7 +11,6 @@ reason, so sweep callers can report *why* a method fell back to solo.
 """
 
 import numpy as np
-import pytest
 
 from repro.solvers import (
     BatchRefusal,
