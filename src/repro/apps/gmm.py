@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.arith.engine import ApproxEngine
 from repro.data.clusters import ClusterDataset
-from repro.solvers.base import IterativeMethod
+from repro.solvers.base import IterativeMethod, evaluate_into
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 #: Floor applied to mixture weights and variances after every update.
@@ -151,8 +151,9 @@ class GaussianMixtureEM(IterativeMethod):
     # ------------------------------------------------------------------
     # Probabilistic kernels (exact)
     # ------------------------------------------------------------------
-    def _log_joint(self, params: GmmParams) -> np.ndarray:
-        """``log(w_k) + log N(x_i | mu_k, var_k)`` as an ``(n, k)`` array."""
+    def _log_joint(self, params: GmmParams) -> tuple[np.ndarray, np.ndarray]:
+        """``log(w_k) + log N(x_i | mu_k, var_k)`` as an ``(n, k)`` array,
+        with the ``(n, k, d)`` block ``points − means`` it was built from."""
         weights = np.maximum(params.weights, _WEIGHT_FLOOR)
         variances = np.maximum(params.variances, _VAR_FLOOR)
         log_w = np.log(weights / weights.sum())
@@ -160,24 +161,30 @@ class GaussianMixtureEM(IterativeMethod):
         maha = np.sum(diff**2 / variances[None, :, :], axis=2)
         log_det = np.sum(np.log(variances), axis=1)
         log_pdf = -0.5 * (maha + log_det + self._d * _LOG_2PI)
-        return log_pdf + log_w[None, :]
+        return log_pdf + log_w[None, :], diff
 
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
-        """E-step posterior ``(n, k)`` (exact float)."""
-        log_joint = self._log_joint(self.params(x))
-        log_joint -= log_joint.max(axis=1, keepdims=True)
-        resp = np.exp(log_joint)
-        return resp / resp.sum(axis=1, keepdims=True)
+        """E-step posterior ``(n, k)`` (exact float, read-only)."""
+        return evaluate_into(self, x)[1]["resp"]
 
     def assignments(self, x: np.ndarray) -> np.ndarray:
         """Hard cluster labels (argmax responsibility)."""
-        return np.argmax(self._log_joint(self.params(x)), axis=1)
+        return np.argmax(self._log_joint(self.params(x))[0], axis=1)
 
-    def objective(self, x: np.ndarray) -> float:
-        """Mean negative log-likelihood (exact)."""
-        log_joint = self._log_joint(self.params(x))
+    #: The objective and its E-step: responsibilities ``"resp"`` and the
+    #: ``points − means`` block ``"diff"``.
+    evaluate = evaluate_into
+
+    def objective(self, x: np.ndarray, state: dict | None = None) -> float:
+        """Mean negative log-likelihood (exact); fills ``state`` if given."""
+        log_joint, diff = self._log_joint(self.params(x))
         peak = log_joint.max(axis=1, keepdims=True)
-        log_lik = peak[:, 0] + np.log(np.exp(log_joint - peak).sum(axis=1))
+        joint = np.exp(log_joint - peak)
+        total = joint.sum(axis=1, keepdims=True)
+        if state is not None:
+            state["resp"] = joint / total
+            state["diff"] = diff
+        log_lik = peak[:, 0] + np.log(total[:, 0])
         return float(-log_lik.mean())
 
     def converged(self, f_prev: float, f_new: float) -> bool:
@@ -190,17 +197,17 @@ class GaussianMixtureEM(IterativeMethod):
         """
         return abs(f_new - f_prev) * self._n <= self.tolerance
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
+    def gradient(self, x: np.ndarray, state: dict | None = None) -> np.ndarray:
         """Analytic gradient of the mean NLL w.r.t. means and variances.
 
         The weight block is reported as zero: weights live on a simplex
         and the reconfiguration schemes only need a descent indicator on
         the unconstrained blocks.
         """
-        params = self.params(x)
-        resp = self.responsibilities(x)
-        variances = np.maximum(params.variances, _VAR_FLOOR)
-        diff = self.points[:, None, :] - params.means[None, :, :]
+        if state is None:
+            state = evaluate_into(self, x)[1]
+        resp, diff = state["resp"], state["diff"]
+        variances = np.maximum(self.params(x).variances, _VAR_FLOOR)
         grad_means = -(resp[:, :, None] * diff / variances[None, :, :]).sum(
             axis=0
         ) / self._n
@@ -215,10 +222,13 @@ class GaussianMixtureEM(IterativeMethod):
     # ------------------------------------------------------------------
     # EM step through the approximate datapath
     # ------------------------------------------------------------------
-    def em_step(self, x: np.ndarray, engine: ApproxEngine) -> GmmParams:
-        """One full EM update; mean sums run on the approximate adder."""
+    def em_step(self, x: np.ndarray, engine: ApproxEngine, state: dict | None = None) -> GmmParams:
+        """One full EM update; mean sums run on the approximate adder.
+        The E-step comes from ``state`` (:meth:`evaluate`'s at ``x``)."""
         params = self.params(x)
-        resp = self.responsibilities(x)
+        if state is None:
+            state = evaluate_into(self, x)[1]
+        resp = state["resp"]
         counts = resp.sum(axis=0)
         counts = np.maximum(counts, _WEIGHT_FLOOR * self._n)
 
@@ -237,8 +247,8 @@ class GaussianMixtureEM(IterativeMethod):
         new_weights = counts / counts.sum()
         return GmmParams(weights=new_weights, means=new_means, variances=new_vars)
 
-    def direction(self, x: np.ndarray, engine: ApproxEngine) -> np.ndarray:
-        return self.em_step(x, engine).pack() - np.asarray(x, dtype=np.float64)
+    def direction(self, x: np.ndarray, engine: ApproxEngine, state=None) -> np.ndarray:
+        return self.em_step(x, engine, state).pack() - np.asarray(x, dtype=np.float64)
 
     def update(
         self, x: np.ndarray, alpha: float, d: np.ndarray, engine: ApproxEngine

@@ -30,7 +30,7 @@ from repro.arith.fixed import FixedPointFormat
 from repro.arith.modes import ModeBank
 from repro.core.quality import quality_error
 from repro.ioutil import atomic_write_text
-from repro.solvers.base import IterativeMethod
+from repro.solvers.base import IterativeMethod, state_kwargs
 
 
 @dataclass(frozen=True)
@@ -261,10 +261,10 @@ def characterize_cached(
 
 
 def _one_iteration(
-    method: IterativeMethod, x: np.ndarray, engine: ApproxEngine, iteration: int
+    method: IterativeMethod, x: np.ndarray, state, engine: ApproxEngine, iteration: int
 ) -> np.ndarray:
-    """A single direction + update through ``engine``."""
-    d = method.direction(x, engine)
+    """A single direction (handed ``x``'s state) + update through ``engine``."""
+    d = method.direction(x, engine, **state_kwargs(state))
     alpha = method.step_size(x, d, iteration)
     return method.postprocess(method.update(x, alpha, d, engine))
 
@@ -292,16 +292,16 @@ def characterize(
         raise ValueError(f"probe_iterations must be >= 1, got {probe_iterations}")
 
     exact_engine = ApproxEngine(bank.accurate, fmt, EnergyLedger())
-    x0 = method.postprocess(method.initial_state())
-    f_x0 = method.objective(x0)
 
-    # Golden probe trajectory (shared across modes).
-    exact_states = [x0]
+    # Golden probe trajectory (shared across modes), each iterate
+    # evaluated once: its objective and the state its probes direct from.
+    golden = [method.postprocess(method.initial_state())]
+    evaluations = [method.evaluate(golden[0])]
     for k in range(probe_iterations):
-        exact_states.append(
-            _one_iteration(method, exact_states[-1], exact_engine, k)
+        golden.append(
+            _one_iteration(method, golden[k], evaluations[k][1], exact_engine, k)
         )
-    exact_objectives = [method.objective(x) for x in exact_states]
+        evaluations.append(method.evaluate(golden[-1]))
 
     impacts: dict[str, ModeImpact] = {}
     for mode in bank:
@@ -309,10 +309,8 @@ def characterize(
         engine = ApproxEngine(mode, fmt, ledger)
         worst_eps = 0.0
         for k in range(probe_iterations):
-            approx_next = _one_iteration(method, exact_states[k], engine, k)
-            eps = quality_error(
-                exact_objectives[k + 1], method.objective(approx_next)
-            )
+            approx_next = _one_iteration(method, golden[k], evaluations[k][1], engine, k)
+            eps = quality_error(evaluations[k + 1][0], method.objective(approx_next))
             worst_eps = max(worst_eps, eps)
         impacts[mode.name] = ModeImpact(
             mode_name=mode.name,
@@ -322,5 +320,5 @@ def characterize(
         )
 
     return CharacterizationTable(
-        impacts=impacts, f_x0=f_x0, f_x1=exact_objectives[1]
+        impacts=impacts, f_x0=evaluations[0][0], f_x1=evaluations[1][0]
     )

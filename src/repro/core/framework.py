@@ -62,7 +62,7 @@ from repro.core.strategies.incremental import IncrementalStrategy
 from repro.core.strategies.static_mode import StaticModeStrategy
 from repro.obs.events import TraceEvent
 from repro.obs.observer import LaneObserver, Observer
-from repro.solvers.base import IterationState, IterativeMethod
+from repro.solvers.base import IterationState, IterativeMethod, state_kwargs
 from repro.solvers.batched import batched_kernels_for
 
 
@@ -502,6 +502,7 @@ class _Lane:
         "x",
         "f",
         "grad",
+        "state",
         "executed",
         "iterations",
         "rollbacks",
@@ -513,14 +514,15 @@ class _Lane:
         "history",
     )
 
-    def __init__(self, index, policy, observer, mode, x, f, grad, bank, done):
+    def __init__(self, index, policy, observer, mode, x, f, grad, state, bank, done):
         self.index = index
         self.policy = policy
         #: The run's observer (solo), a LaneObserver (batch) or None.
         self.observer = observer
         self.mode = mode
         self.last_mode: str | None = None
-        self.x, self.f, self.grad = x, f, grad
+        #: The accepted iterate, its exact objective, gradient and state.
+        self.x, self.f, self.grad, self.state = x, f, grad, state
         self.executed = 0
         self.iterations = 0
         self.rollbacks = 0
@@ -543,6 +545,11 @@ class _OnlineLoop:
     for a batch — and settles every lane of the group in order.  A solo
     run is the one-lane case of the same loop, so the two paths make the
     same decisions, charges and events.
+
+    Each iterate is evaluated once (:meth:`IterativeMethod.evaluate`);
+    its state rides with the lane into ``gradient`` and the next
+    ``direction``.  A rolled-back candidate's state is dropped, so the
+    retry reads the accepted iterate's.
 
     With ``capture`` on, each mode's engine records its first iteration
     and replays it thereafter.  A rollback invalidates every engine's
@@ -591,12 +598,13 @@ class _OnlineLoop:
         method = self.method
         modes = [policy.start(self.bank, characterization) for policy in policies]
         x0 = method.postprocess(method.initial_state())
-        f0 = method.objective(x0)
+        # One state at x0, shared by every lane (it is read-only).
+        f0, s0 = method.evaluate(x0)
         # The exact gradient is control-loop telemetry for angle-based
         # policies; strategies that never read it opt out and skip an
         # O(nnz) exact matvec per iteration (results are unaffected).
         g0 = (
-            method.gradient(x0)
+            method.gradient(x0, **state_kwargs(s0))
             if any(policy.needs_gradient for policy in policies)
             else None
         )
@@ -609,6 +617,7 @@ class _OnlineLoop:
                 x0 if self.kernels is None else np.asarray(x0, dtype=np.float64).copy(),
                 f0,
                 g0 if policy.needs_gradient else None,
+                s0,
                 self.bank,
                 self.budget <= 0,
             )
@@ -629,11 +638,11 @@ class _OnlineLoop:
                 execution, x_news = step(self.engines[mode_name], group)
                 for lane, x_new in zip(group, x_news):
                     with self.timer("objective"):
-                        f_new = method.objective(x_new)
-                    grad_new = (
-                        method.gradient(x_new) if lane.policy.needs_gradient else None
-                    )
-                    rolled_back = self.settle(lane, x_new, f_new, grad_new, execution)
+                        f_new, state_new = method.evaluate(x_new)
+                    grad_new = None
+                    if lane.policy.needs_gradient:
+                        grad_new = method.gradient(x_new, **state_kwargs(state_new))
+                    rolled_back = self.settle(lane, x_new, f_new, grad_new, state_new, execution)
                     if rolled_back and self.capture:
                         # The retried iteration starts from the same x on
                         # an escalated mode; recorded saturation envelopes
@@ -691,7 +700,7 @@ class _OnlineLoop:
         if self.capture:
             engine.begin_iteration({"x": x, **method.replay_operands(x)})
         with self.timer("direction"):
-            d = method.direction(x, engine)
+            d = method.direction(x, engine, **state_kwargs(lane.state))
         if self.capture:
             engine.bind_slot("d", d)
         alpha = method.step_size(x, d, lane.iterations)
@@ -710,7 +719,8 @@ class _OnlineLoop:
         if self.capture:
             engine.begin_iteration({"X": X, **kernels.replay_slots(X)})
         with self.timer("direction"):
-            D = kernels.direction(X, ids, engine)
+            kw = {} if group[0].state is None else {"states": [lane.state for lane in group]}
+            D = kernels.direction(X, ids, engine, **kw)
         if self.capture:
             engine.bind_slot("D", D)
         alphas = np.array(
@@ -774,9 +784,10 @@ class _OnlineLoop:
                 )
         return execution
 
-    def settle(self, lane: _Lane, x_new, f_new, grad_new, execution) -> bool:
+    def settle(self, lane: _Lane, x_new, f_new, grad_new, state_new, execution) -> bool:
         """Observe one executed iteration of ``lane``, let its strategy
-        decide, and accept it or roll it back.
+        decide, and accept it (with its ``evaluate`` state) or roll it
+        back (dropping the state).
 
         Returns whether the iteration rolled back.
         """
@@ -844,7 +855,7 @@ class _OnlineLoop:
                         mode_name=mode.name,
                     )
                 )
-            lane.x, lane.f, lane.grad = x_new, f_new, grad_new
+            lane.x, lane.f, lane.grad, lane.state = x_new, f_new, grad_new, state_new
             if not (tolerance_pass or fixed_point):
                 lane.mode = decision.mode
             elif policy.verify_convergence and not mode.is_accurate:

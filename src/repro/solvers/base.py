@@ -11,6 +11,10 @@ hooks that feed the reconfiguration schemes (:meth:`objective`,
 :meth:`gradient`) are exact, matching the paper's premise that those
 runtime quantities "are already available along with conducting IMs" on
 the error-sensitive (exact) portion of the platform.
+
+Each iterate is evaluated once: :meth:`IterativeMethod.evaluate` returns
+the objective plus a read-only *state*, the exact work that
+:meth:`gradient` and the next :meth:`direction` would redo at that ``x``.
 """
 
 from __future__ import annotations
@@ -162,6 +166,16 @@ class IterativeMethod(ABC):
     # ------------------------------------------------------------------
     # Hooks with sensible defaults
     # ------------------------------------------------------------------
+    def evaluate(self, x: np.ndarray) -> tuple[float, object]:
+        """``(objective(x), state)``; the default shares nothing (``None``).
+
+        ``state`` is a pure function of ``x`` with read-only arrays.  When
+        it is not ``None`` the online loop passes it as ``state=`` to
+        :meth:`gradient` and the next :meth:`direction` at that ``x``, so
+        those hooks (and subclass overrides of them) must accept it.
+        """
+        return self.objective(x), None
+
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Exact gradient, used by the reconfiguration schemes.
 
@@ -239,3 +253,25 @@ class IterativeMethod(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe()
+
+
+def evaluate_into(method: IterativeMethod, x: np.ndarray) -> tuple[float, dict]:
+    """``evaluate`` (assign it as the class attribute) for a method whose
+    ``objective(x, state)`` fills the ``state`` dict it is given, inside
+    ``objective`` where profilers look.
+
+    The stored arrays are made read-only.  Such a method's stateless
+    ``gradient(x)`` and ``direction(x, engine)`` build their state here
+    too, so the exact work has one code path; a subclass overriding
+    ``objective`` must keep its ``state`` parameter.
+    """
+    state: dict = {}
+    f = method.objective(x, state)
+    for value in state.values():
+        value.flags.writeable = False
+    return f, state
+
+
+def state_kwargs(state) -> dict:
+    """The ``state=`` keyword for a hook, or none for a stateless method."""
+    return {} if state is None else {"state": state}

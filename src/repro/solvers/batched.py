@@ -4,10 +4,12 @@
 stacked ``(L, N)`` iterate array per vectorized adder call instead of L
 separate Python loops.  Of the :class:`~repro.solvers.base.IterativeMethod`
 hooks only ``direction`` and ``update`` route through the approximate
-engine — everything else (``objective``, ``gradient``, ``step_size``,
-``postprocess``, ``converged``) is exact float and runs per lane
-unchanged — so a *batched kernel adapter* only has to restate those two
-hooks over a :class:`~repro.arith.engine.BatchedEngine`.
+engine — everything else (``evaluate``, ``objective``, ``gradient``,
+``step_size``, ``postprocess``, ``converged``) is exact float and runs
+per lane unchanged — so a *batched kernel adapter* only has to restate
+those two hooks over a :class:`~repro.arith.engine.BatchedEngine`.  When
+the method's ``evaluate`` returns a state, ``direction`` receives each
+row's state as ``states=[...]``, in row order.
 
 Every adapter performs, per lane, the identical sequence of engine
 kernel calls the solo method performs (same operands, same order), so
@@ -27,9 +29,11 @@ ledgers exactly equal.  The covered methods:
   :class:`~repro.solvers.linear.RedBlackSorSolver`) — the half-sweep
   direction is written against the polymorphic kernel API, so the
   adapter passes the lane stack straight through;
-* Gaussian-mixture EM — responsibilities and the variance/weight tail
-  are exact per lane; the k per-component weighted mean sums stack into
-  k batched ``weighted_sum`` calls in solo charge order.
+* Gaussian-mixture EM — responsibilities come from the lane states
+  (each lane's exact E-step, done once by its ``evaluate``) and the
+  variance/weight tail is exact per lane; the k per-component weighted
+  mean sums stack into k batched ``weighted_sum`` calls in solo charge
+  order.
 
 A method that cannot be batched gets a structured
 :class:`BatchSupport` refusal from :func:`batching_support` saying
@@ -50,7 +54,7 @@ import numpy as np
 
 from repro.apps.gmm import _VAR_FLOOR, _WEIGHT_FLOOR, GaussianMixtureEM, GmmParams
 from repro.arith.engine import BatchedEngine
-from repro.solvers.base import IterativeMethod
+from repro.solvers.base import IterativeMethod, evaluate_into
 from repro.solvers.conjugate_gradient import ConjugateGradient
 from repro.solvers.functions import (
     ObjectiveFunction,
@@ -72,6 +76,7 @@ from repro.solvers.linear import (
 #: hook changes semantics the adapter does not know about.
 _LOOP_HOOKS = (
     "initial_state",
+    "evaluate",
     "objective",
     "gradient",
     "direction",
@@ -130,6 +135,9 @@ class BatchedKernels:
     stateful adapters key their state by lane id, never by row).  The
     engine passed in already has ``lane_ids`` selected.
 
+    ``states`` (when the method's ``evaluate`` returns one) holds each
+    row's exact state at ``X[row]``; adapters that need none ignore it.
+
     ``replayable`` declares the iteration *uniform*: every lane issues
     the identical engine-op sequence over the full selected lane set,
     with no mid-iteration ``select_lanes``.  Only uniform adapters may
@@ -152,7 +160,11 @@ class BatchedKernels:
         return {}
 
     def direction(
-        self, X: np.ndarray, lane_ids: np.ndarray, engine: BatchedEngine
+        self,
+        X: np.ndarray,
+        lane_ids: np.ndarray,
+        engine: BatchedEngine,
+        states: list | None = None,
     ) -> np.ndarray:
         raise NotImplementedError
 
@@ -171,7 +183,7 @@ class BatchedKernels:
 class _BatchedJacobi(BatchedKernels):
     """``d = (b - A x) / diag(A)`` per lane, constants pinned as solo."""
 
-    def direction(self, X, lane_ids, engine):
+    def direction(self, X, lane_ids, engine, states=None):
         m = self.method
         rhs = engine.pin("rhs", m.rhs)
         matrix = engine.pin_matrix("matrix", m.matrix)
@@ -190,7 +202,7 @@ class _BatchedGaussSeidel(BatchedKernels):
     small solves are the cheap tail.
     """
 
-    def direction(self, X, lane_ids, engine):
+    def direction(self, X, lane_ids, engine, states=None):
         m = self.method
         R = m.residual(X, engine)
         lower = np.tril(m.matrix)
@@ -207,7 +219,7 @@ class _BatchedGaussSeidel(BatchedKernels):
 class _BatchedSor(BatchedKernels):
     """SOR analogue of :class:`_BatchedGaussSeidel`."""
 
-    def direction(self, X, lane_ids, engine):
+    def direction(self, X, lane_ids, engine, states=None):
         m = self.method
         R = m.residual(X, engine)
         diag = np.diag(np.diag(m.matrix))
@@ -229,7 +241,7 @@ class _BatchedRedBlack(BatchedKernels):
     ``(L, n)`` stack unchanged (see
     :class:`~repro.solvers.linear._RedBlackSplittingSolver`)."""
 
-    def direction(self, X, lane_ids, engine):
+    def direction(self, X, lane_ids, engine, states=None):
         return self.method.direction(X, engine)
 
 
@@ -337,8 +349,9 @@ class _BatchedLeastSquares(BatchedKernels):
 class _BatchedGmm(BatchedKernels):
     """EM over per-component lane stacking.
 
-    The E-step (responsibilities) and the M-step's variance/weight tail
-    are exact float and run per lane with the identical expressions of
+    The E-step (responsibilities) comes from each lane's state, and the
+    M-step's variance/weight tail is exact float and runs per lane with
+    the identical expressions of
     :meth:`~repro.apps.gmm.GaussianMixtureEM.em_step`; only the k
     weighted mean sums touch the approximate datapath, and they stack
     into k batched ``weighted_sum`` calls — per lane, the charge
@@ -349,17 +362,15 @@ class _BatchedGmm(BatchedKernels):
     would drop duplicate charges).
     """
 
-    def direction(self, X, lane_ids, engine):
+    def direction(self, X, lane_ids, engine, states=None):
         m = self.method
         L = X.shape[0]
-        resps: list[np.ndarray] = []
-        counts: list[np.ndarray] = []
-        for row in range(L):
-            resp = m.responsibilities(X[row])
-            resps.append(resp)
-            counts.append(
-                np.maximum(resp.sum(axis=0), _WEIGHT_FLOOR * m._n)
-            )
+        if states is None:
+            states = [evaluate_into(m, X[row])[1] for row in range(L)]
+        resps = [state["resp"] for state in states]
+        counts = [
+            np.maximum(resp.sum(axis=0), _WEIGHT_FLOOR * m._n) for resp in resps
+        ]
         points = engine.pin_matrix("points", m.points)
         k, dim = m.n_clusters, m._d
         new_means = np.empty((L, k, dim))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arith.engine import ApproxEngine, SparseResidentMatrix
-from repro.solvers.base import IterativeMethod
+from repro.solvers.base import IterativeMethod, evaluate_into
 
 
 class _SplittingSolver(IterativeMethod):
@@ -79,13 +79,21 @@ class _SplittingSolver(IterativeMethod):
             return self.matrix.matvec_exact(x)
         return self.matrix @ x
 
-    def objective(self, x: np.ndarray) -> float:
+    #: The objective and its exact residual ``"residual"``, ``b − A x``
+    #: (the directions run their own on the engine; ``state`` is unread).
+    evaluate = evaluate_into
+
+    def objective(self, x: np.ndarray, state: dict | None = None) -> float:
         r = self.rhs - self._apply(np.asarray(x, dtype=np.float64))
+        if state is not None:
+            state["residual"] = r
         return float(r @ r)
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
+    def gradient(self, x: np.ndarray, state: dict | None = None) -> np.ndarray:
         # Gradient of ‖b − A x‖²: −2 Aᵀ r.
-        r = self.rhs - self._apply(np.asarray(x, dtype=np.float64))
+        if state is None:
+            state = evaluate_into(self, x)[1]
+        r = state["residual"]
         if isinstance(self.matrix, SparseResidentMatrix):
             return -2.0 * self.matrix.rmatvec_exact(r)
         return -2.0 * self.matrix.T @ r
@@ -121,7 +129,7 @@ class JacobiSolver(_SplittingSolver):
     name = "jacobi"
     supports_sparse = True
 
-    def direction(self, x: np.ndarray, engine: ApproxEngine) -> np.ndarray:
+    def direction(self, x: np.ndarray, engine: ApproxEngine, state=None) -> np.ndarray:
         return self.residual(x, engine) / self._diag
 
 
@@ -134,7 +142,7 @@ class GaussSeidelSolver(_SplittingSolver):
 
     name = "gauss-seidel"
 
-    def direction(self, x: np.ndarray, engine: ApproxEngine) -> np.ndarray:
+    def direction(self, x: np.ndarray, engine: ApproxEngine, state=None) -> np.ndarray:
         r = self.residual(x, engine)
         lower = np.tril(self.matrix)
         # Forward substitution is exact; the expensive O(n²) residual
@@ -159,7 +167,7 @@ class SorSolver(_SplittingSolver):
             raise ValueError(f"omega must be in (0, 2), got {omega}")
         self.omega = float(omega)
 
-    def direction(self, x: np.ndarray, engine: ApproxEngine) -> np.ndarray:
+    def direction(self, x: np.ndarray, engine: ApproxEngine, state=None) -> np.ndarray:
         r = self.residual(x, engine)
         diag = np.diag(np.diag(self.matrix))
         lower = np.tril(self.matrix, k=-1)
@@ -229,7 +237,7 @@ class _RedBlackSplittingSolver(_SplittingSolver):
         out[..., rows] = new_rows
         return out
 
-    def direction(self, x: np.ndarray, engine) -> np.ndarray:
+    def direction(self, x: np.ndarray, engine, state=None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         h = self._half_sweep(x, "red", engine)
         h = self._half_sweep(h, "black", engine)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.apps.pagerank import PageRank
+from repro.arith.engine import SparseResidentMatrix
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,29 @@ class TestConstruction:
         ref = pr.exact_reference()
         assert pr.objective(ref) < 1e-9
         assert ref.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "n_nodes, seed, hub_bias, out_degree",
+        [(300, 3, 0.5, 8.0), (200, 7, 0.0, 4.0), (500, 1, 0.9, 0.5), (2000, 11, 0.5, 8.0)],
+    )
+    def test_random_web_csr_matches_unique_dedupe(self, n_nodes, seed, hub_bias, out_degree):
+        """The sorted-run edge dedupe builds the web ``np.unique`` built."""
+        rng = np.random.default_rng(seed)
+        deg = rng.poisson(out_degree, n_nodes)
+        src = np.repeat(np.arange(n_nodes, dtype=np.int64), deg)
+        dst = (n_nodes * rng.random(src.size) ** (1.0 / (1.0 - hub_bias))).astype(np.int64)
+        keep = src != dst
+        eid = np.unique(src[keep] * np.int64(n_nodes) + dst[keep])
+        src, dst = eid // n_nodes, eid % n_nodes
+        weight = 1.0 / np.bincount(src, minlength=n_nodes)[src]
+        want = PageRank(SparseResidentMatrix.from_coo(dst, src, weight, (n_nodes, n_nodes)))
+
+        got = PageRank.random_web_csr(
+            n_nodes=n_nodes, seed=seed, out_degree=out_degree, hub_bias=hub_bias
+        )
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got._link, part).tobytes() == getattr(want._link, part).tobytes()
+        assert got._dangling.tobytes() == want._dangling.tobytes()
 
 
 class TestIteration:

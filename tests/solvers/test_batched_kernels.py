@@ -29,6 +29,7 @@ from repro.solvers import (
     batching_support,
     supports_batching,
 )
+from repro.solvers.base import IterativeMethod
 from repro.solvers.batched import (
     _BatchedCG,
     _BatchedGaussSeidel,
@@ -123,8 +124,14 @@ class TestSupportsBatching:
             def postprocess(self, x):
                 return np.asarray(x) * 1.0
 
+        class StatelessJacobi(JacobiSolver):
+            evaluate = IterativeMethod.evaluate
+
         assert not supports_batching(DampedJacobi(A, b))
         assert not supports_batching(RescaledJacobi(A, b))
+        support = batching_support(StatelessJacobi(A, b))
+        assert support.reason is BatchRefusal.OVERRIDDEN_HOOKS
+        assert "(evaluate)" in support.message
         # A subclass adding only non-loop members stays batchable.
 
         class TaggedJacobi(JacobiSolver):
