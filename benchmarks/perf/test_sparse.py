@@ -6,13 +6,12 @@ in-degrees), where the per-iteration cost is one CSR matvec over ~800k
 stored entries plus two rank-one corrections (dangling mass, teleport)
 that never densify.
 
-The shipped path pins the CSR operand once, captures the iteration
-program, and replays it through the fused ``csr_matvec_words`` backend
-kernel (the ``nnz_max * W`` in-range proof holds for a stochastic
-matrix).  The baseline is the spec engine,
-:class:`~repro.arith.reference.ReferenceEngine`: per-call re-encoding,
-a reduction plan rebuilt per matvec, and the dense-gather concat
-reduce.  Parity is asserted before timing — bit-identical
+The shipped path captures the iteration program once and replays it
+through the fused ``csr_matvec_words`` backend kernel (the
+``nnz_max * W`` in-range proof holds for a stochastic matrix).  The
+baseline is the spec engine,
+:class:`~repro.arith.reference.ReferenceEngine`: per-call checked
+encodes and the dense-gather concat reduce, one tree per nnz length.  Parity is asserted before timing — bit-identical
 iterates and float-equal ledgers — so the gated floor can never be
 bought with numerical drift.
 

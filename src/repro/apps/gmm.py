@@ -232,14 +232,11 @@ class GaussianMixtureEM(IterativeMethod):
         counts = resp.sum(axis=0)
         counts = np.maximum(counts, _WEIGHT_FLOOR * self._n)
 
-        # Pinned once per engine: the data matrix is finiteness-profiled
-        # so the per-cluster product scan shrinks from O(n·d) to O(n).
-        points = engine.pin_matrix("points", self.points)
         new_means = np.empty_like(params.means)
         for k in range(self.n_clusters):
             # Table 2 "Adder Impact: Mean Value" — this weighted
             # coordinate sum is the approximate kernel.
-            new_means[k] = engine.weighted_sum(resp[:, k], points) / counts[k]
+            new_means[k] = engine.weighted_sum(resp[:, k], self.points) / counts[k]
 
         diff = self.points[:, None, :] - new_means[None, :, :]
         new_vars = (resp[:, :, None] * diff**2).sum(axis=0) / counts[:, None]

@@ -290,8 +290,7 @@ class PageRank(IterativeMethod):
         # rank-one teleport scalar is exact control logic broadcast back
         # through one approximate add per component.  ``state`` is unread.
         xs = np.asarray(x, dtype=np.float64)
-        link = engine.pin_matrix("link", self._link)
-        base = engine.matvec(link, x, resident=True)
+        base = engine.matvec(self._link, x, resident=True)
         if self._dangling.size:
             mass_d = engine.sum(xs[self._dangling])
         else:

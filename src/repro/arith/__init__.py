@@ -11,8 +11,6 @@ methods in :mod:`repro.solvers` / :mod:`repro.apps`:
   every elementary addition to an :class:`EnergyLedger`;
 * :class:`ResidentVector` — fixed-point words kept resident between
   chained engine kernels (pass ``resident=True`` to any kernel);
-* :class:`ResidentMatrix` — a pinned multiplicative constant whose
-  products skip the per-call finiteness scan (``engine.pin_matrix``);
 * :class:`SparseResidentMatrix` / :class:`SparseReductionPlan` — the
   CSR sparse operand and its level-synchronous per-row reduce: matvec /
   weighted_sum accumulate each output row's own nnz products through
@@ -24,7 +22,8 @@ methods in :mod:`repro.solvers` / :mod:`repro.apps`:
 * :class:`ProgramEngine` / :class:`IterationProgram` — CUDA-graph-style
   capture/replay for the solo online loop: one interpreted iteration is
   recorded into a compiled program that later iterations replay with
-  bit-identical iterates and a float-equal energy ledger
+  bit-identical iterates and a float-equal energy ledger, constant
+  operands resolving to their compile-time encodings
   (:mod:`repro.arith.program`);
 * :mod:`repro.arith.modes` — the quality-configurable mode registry
   (``level1`` .. ``level4`` + ``accurate``) mirroring the paper's
@@ -37,8 +36,6 @@ from repro.arith.engine import (
     BatchedEngine,
     EnergyLedger,
     LaneStack,
-    ReductionPlan,
-    ResidentMatrix,
     ResidentVector,
     SparseReductionPlan,
     SparseResidentMatrix,
@@ -65,8 +62,6 @@ __all__ = [
     "ProgramEngine",
     "ProgramExecutor",
     "ProgramRecorder",
-    "ReductionPlan",
-    "ResidentMatrix",
     "ResidentVector",
     "SparseReductionPlan",
     "SparseResidentMatrix",

@@ -33,19 +33,15 @@ saturation recompute, a concatenating tree — lives apart, in
 :class:`repro.arith.reference.ReferenceEngine`; it is the oracle the
 tests and the perf benchmarks' baselines run on.
 
-Pinned (cached) operands
-------------------------
+Constant operands
+-----------------
 Iterative methods feed the same constant operands — the system matrix,
-the right-hand side, cluster points — into every iteration.
-:meth:`ApproxEngine.pin` encodes an additive constant once per engine
-(hence once per format) and returns the cached :class:`ResidentVector`
-on every subsequent call with the same array; :meth:`ApproxEngine.pin_matrix`
-validates and profiles a multiplicative constant once and returns a
-:class:`ResidentMatrix` whose products can skip the per-call finiteness
-scan.  Both caches key on the pin name plus array identity: pinning a
-*different* array under an existing name re-encodes (the version bump),
-in-place mutation of a pinned array requires re-pinning, and the caches
-die with the engine, so a new format always starts cold.
+the right-hand side, cluster points — into every iteration.  The
+engines encode and scan them on every call; iteration-program replay
+(:mod:`repro.arith.program`) resolves each one by identity to the
+words, bounds and ``abs_max`` it computed once at compile time.  The
+CSR operand, :class:`SparseResidentMatrix`, is validated and profiled
+once at construction.
 """
 
 from __future__ import annotations
@@ -127,54 +123,6 @@ class ResidentVector:
         return f"ResidentVector(shape={self.words.shape}, fmt={self.fmt.describe()})"
 
 
-class ResidentMatrix:
-    """A constant multiplicative operand validated and profiled once.
-
-    Multiplicative constants (the system matrix in ``matvec``, the
-    cluster points in ``weighted_sum``) are *not* encoded to fixed point
-    — products are exact float and only the accumulation is approximate
-    — so what repeats every iteration is the full finiteness scan of the
-    ``rows × cols`` product array inside ``encode``.  Pinning checks the
-    constant finite once and records its absolute maximum; each call
-    then proves the product finite from ``abs_max`` times the iterate's
-    absolute maximum (an ``O(n)`` scan instead of ``O(rows × cols)``)
-    and encodes with the scan skipped.  The emitted words are identical
-    either way.
-
-    The wrapped array is treated as immutable: mutating it after
-    pinning invalidates the cached ``abs_max`` — re-pin instead.
-
-    Attributes:
-        array: the validated float64 constant.
-        abs_max: ``max(|array|)`` (``0.0`` when empty).
-    """
-
-    __slots__ = ("array", "abs_max")
-
-    def __init__(self, array: np.ndarray):
-        arr = np.asarray(array, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("cannot pin non-finite values")
-        self.array = arr
-        self.abs_max = float(np.abs(arr).max()) if arr.size else 0.0
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.array.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.array.ndim
-
-    def __array__(self, dtype=None, copy=None):
-        if copy:
-            return self.array.astype(dtype, copy=True) if dtype else self.array.copy()
-        return self.array if dtype is None else self.array.astype(dtype, copy=False)
-
-    def __repr__(self) -> str:
-        return f"ResidentMatrix(shape={self.array.shape}, abs_max={self.abs_max:g})"
-
-
 class SparseReductionPlan:
     """Level-synchronous tree-reduce schedule over every CSR row at once.
 
@@ -233,18 +181,17 @@ class SparseReductionPlan:
 class SparseResidentMatrix:
     """A constant CSR multiplicative operand validated and profiled once.
 
-    The sparse sibling of :class:`ResidentMatrix`: products stay exact
-    float over the stored entries only, and each output row accumulates
-    its own nnz products through the approximate adder — ``nnz_i - 1``
-    elementary additions per row, zero for empty or single-entry rows.
-    The per-row abs-max finiteness/bound proofs transfer directly from
-    the dense operand: ``abs_max`` is ``max(|data|)``, so the product
-    bound ``abs_max * max|x|`` covers every stored product, and replay's
-    fused-reduction proof specializes the dense ``n`` to ``nnz_max``.
+    Products stay exact float over the stored entries only, and each
+    output row accumulates its own nnz products through the approximate
+    adder — ``nnz_i - 1`` elementary additions per row, zero for empty
+    or single-entry rows.  ``abs_max`` is ``max(|data|)``, so the
+    product bound ``abs_max * max|x|`` covers every stored product: it
+    proves the product encode finite from an ``O(n)`` scan of ``x``
+    (:func:`_trusted_product`), and replay's fused-reduction proof
+    specializes the dense ``n`` to ``nnz_max``.
 
-    The arrays are treated as immutable after construction (like a
-    pinned dense operand); the row plan and the transpose are built
-    lazily and cached on the instance.
+    The arrays are treated as immutable after construction; the row
+    plan and the transpose are built lazily and cached on the instance.
 
     Attributes:
         data: nnz float64 values.
@@ -291,7 +238,7 @@ class SparseResidentMatrix:
         ):
             raise ValueError("CSR column index out of range")
         if not np.all(np.isfinite(self.data)):
-            raise ValueError("cannot pin non-finite values")
+            raise ValueError("CSR values must be finite")
         self.abs_max = float(np.abs(self.data).max()) if self.data.size else 0.0
         nnz = np.diff(self.indptr)
         self.nnz_max = int(nnz.max()) if nnz.size else 0
@@ -369,7 +316,7 @@ class SparseResidentMatrix:
         return self._transpose
 
     def _scipy_handle(self):
-        """Cached scipy CSR view of the pinned arrays (None w/o scipy)."""
+        """Cached scipy CSR view of the arrays (None w/o scipy)."""
         if _scipy_sparse is not None and self._scipy is None:
             self._scipy = _scipy_sparse.csr_matrix(
                 (self.data, self.indices, self.indptr), shape=self.shape
@@ -547,36 +494,6 @@ class EnergyLedger:
         return self.energy - earlier.energy
 
 
-class ReductionPlan:
-    """Precomputed geometry for one tree-reduce input shape.
-
-    The balanced-tree fold visits the same level splits for every input
-    of a given shape, so the per-level ``n // 2`` / odd-tail bookkeeping
-    and the tail carry buffer can be computed once and reused.  Plans
-    are cached per engine keyed by input shape — and an engine is bound
-    to one ``(fmt, mode)``, so the cache key of the issue
-    (``(n, fmt, mode)``) falls out of engine identity.  A plan holds no
-    data-dependent state: the fold still runs the identical sequence of
-    adder calls with the identical per-level ledger charges.
-
-    Attributes:
-        levels: :func:`repro.hardware.bitops.reduction_levels` output.
-        buf: preallocated tail-carry buffer sized for the first (widest)
-            odd level, or ``None`` when no level is odd.
-    """
-
-    __slots__ = ("levels", "buf")
-
-    def __init__(self, shape: tuple[int, ...]):
-        self.levels = bitops.reduction_levels(shape[0])
-        self.buf = None
-        for half, odd in self.levels:
-            if odd:
-                # Widest odd level comes first (sizes only shrink).
-                self.buf = np.empty((half + 1,) + shape[1:], dtype=np.int64)
-                break
-
-
 def _reduce_csr_rows(engine, plan: SparseReductionPlan, q: np.ndarray) -> np.ndarray:
     """Reduce every CSR row's tree in place, one adder call per level.
 
@@ -611,10 +528,10 @@ def _reduce_csr_rows(engine, plan: SparseReductionPlan, q: np.ndarray) -> np.nda
 def _trusted_product(constant, varying: np.ndarray) -> bool:
     """Whether ``constant * varying`` is provably finite.
 
-    ``constant`` is a pinned operand carrying ``abs_max``; ``varying`` is
-    scanned once (``O(n)`` instead of the product's ``O(rows × cols)``),
-    and a non-finite iterate raises the same error the checked encode
-    would.  A product of two finite maxima can still overflow to
+    ``constant`` is a :class:`SparseResidentMatrix` carrying
+    ``abs_max``; ``varying`` is scanned once (``O(n)`` instead of the
+    product's ``O(nnz)``), and a non-finite iterate raises the same
+    error the checked encode would.  A product of two finite maxima can still overflow to
     ``inf``, so the proof also requires the bound itself to be finite —
     otherwise the caller falls back to the checked encode.  For a lane
     stack the bound is global, which is sound per lane; the emitted
@@ -663,94 +580,6 @@ class ApproxEngine:
         self._signed_lo, self._signed_hi = bitops.signed_range(fmt.width)
         self._multiplier = None
         self._mul_energy = None
-        # Pinned-operand caches.  ``_pinned*`` key by name;
-        # ``_operand_cache`` keys by ``id`` so raw arrays passed straight
-        # to kernels hit too.  Each entry keeps a reference to the pinned
-        # array, both to validate identity and to keep the id stable
-        # while cached.
-        self._pinned: dict[str, tuple[np.ndarray, ResidentVector]] = {}
-        self._pinned_matrices: dict[str, tuple[np.ndarray, ResidentMatrix]] = {}
-        self._operand_cache: dict[int, tuple[np.ndarray, ResidentVector]] = {}
-        self._reduce_plans: dict[tuple[int, ...], ReductionPlan] = {}
-        self.encode_cache_hits = 0
-        self.encode_cache_misses = 0
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-
-    # ------------------------------------------------------------------
-    # Pinned (cached) constant operands
-    # ------------------------------------------------------------------
-    def pin(self, name: str, array: np.ndarray) -> ResidentVector:
-        """Encode an additive constant once and cache it under ``name``.
-
-        Returns the cached :class:`ResidentVector` (bounds pre-scanned)
-        whenever called again with the *same array object*; a different
-        array under an existing name re-encodes and replaces the entry.
-        """
-        arr = np.asarray(array, dtype=np.float64)
-        entry = self._pinned.get(name)
-        if entry is not None and entry[0] is arr:
-            self.encode_cache_hits += 1
-            return entry[1]
-        rv = ResidentVector(self.fmt.encode(arr), self.fmt)
-        rv.bounds()
-        if entry is not None:
-            self._operand_cache.pop(id(entry[0]), None)
-        self._pinned[name] = (arr, rv)
-        self._operand_cache[id(arr)] = (arr, rv)
-        self.encode_cache_misses += 1
-        return rv
-
-    def pin_matrix(self, name: str, matrix: np.ndarray) -> ResidentMatrix:
-        """Validate a multiplicative constant once and cache it.
-
-        The returned :class:`ResidentMatrix` lets :meth:`matvec` /
-        :meth:`weighted_sum` skip the per-call product finiteness scan
-        (see the class docstring).  Same keying as :meth:`pin`.
-
-        A :class:`SparseResidentMatrix` passes through unchanged (it is
-        its own pin — validated and profiled at construction); a
-        scipy-style sparse object (anything with ``tocsr()``) is adopted
-        into one, cached under the same name/identity keying.
-        """
-        if isinstance(matrix, SparseResidentMatrix):
-            return matrix
-        if hasattr(matrix, "tocsr"):
-            entry = self._pinned_matrices.get(name)
-            if entry is not None and entry[0] is matrix:
-                self.encode_cache_hits += 1
-                return entry[1]
-            sp = SparseResidentMatrix.from_csr_like(matrix)
-            self._pinned_matrices[name] = (matrix, sp)
-            self.encode_cache_misses += 1
-            return sp
-        arr = np.asarray(matrix, dtype=np.float64)
-        entry = self._pinned_matrices.get(name)
-        if entry is not None and entry[0] is arr:
-            self.encode_cache_hits += 1
-            return entry[1]
-        rm = ResidentMatrix(arr)
-        self._pinned_matrices[name] = (arr, rm)
-        self.encode_cache_misses += 1
-        return rm
-
-    def unpin(self, name: str) -> None:
-        """Drop a pinned operand (both vector and matrix namespaces)."""
-        entry = self._pinned.pop(name, None)
-        if entry is not None:
-            self._operand_cache.pop(id(entry[0]), None)
-        self._pinned_matrices.pop(name, None)
-
-    def cache_stats(self) -> dict[str, int]:
-        """Counters for the pin/encode and reduction-plan caches."""
-        return {
-            "encode_cache_hits": self.encode_cache_hits,
-            "encode_cache_misses": self.encode_cache_misses,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "pinned_operands": len(self._pinned) + len(self._pinned_matrices),
-            "reduce_plans": len(self._reduce_plans),
-        }
 
     # ------------------------------------------------------------------
     # Elementary fixed-point plumbing
@@ -761,14 +590,7 @@ class ApproxEngine:
         if isinstance(x, ResidentVector):
             self._check_fmt(x)
             return x.words, x.bounds()
-        arr = np.asarray(x, dtype=np.float64)
-        if self._operand_cache:
-            entry = self._operand_cache.get(id(arr))
-            if entry is not None and entry[0] is arr:
-                self.encode_cache_hits += 1
-                rv = entry[1]
-                return rv.words, rv.bounds()
-        return self.fmt.encode(arr), None
+        return self.fmt.encode(np.asarray(x, dtype=np.float64)), None
 
     def _check_fmt(self, rv: ResidentVector) -> None:
         if rv.fmt != self.fmt:
@@ -856,23 +678,17 @@ class ApproxEngine:
     def _reduce_words(self, q: np.ndarray) -> np.ndarray:
         """Balanced-tree reduction of axis 0 down to a single slice.
 
-        Folds the tree inside one preallocated buffer (no per-level
-        ``np.concatenate``) while walking the reference engine's tree —
-        the identical sequence of :meth:`_add_words` calls in the
-        identical order — so results and the exact ``n - 1``
-        adds-per-lane energy accounting are unchanged.
+        Folds the tree in place, carrying odd tails through one buffer
+        allocated at the first (widest) odd level instead of a
+        per-level ``np.concatenate``, while walking the reference
+        engine's tree — the identical sequence of :meth:`_add_words`
+        calls in the identical order — so results and the exact
+        ``n - 1`` adds-per-lane energy accounting are unchanged.
         """
         cur = np.asarray(q, dtype=np.int64)
         shape = cur.shape
         if shape[0] <= 1:
             return cur[0]
-        plan = self._reduce_plans.get(shape)
-        if plan is None:
-            plan = ReductionPlan(shape)
-            self._reduce_plans[shape] = plan
-            self.plan_cache_misses += 1
-        else:
-            self.plan_cache_hits += 1
         saturating = self.fmt.overflow == "saturate"
         # One min/max over the level bounds both operand halves for the
         # saturation precheck; carried forward level to level.
@@ -886,13 +702,17 @@ class ApproxEngine:
         # can emit arbitrary width-bit words — their levels must rescan.
         exact = self.mode.adder.is_exact
         lo_w, hi_w = self._signed_lo, self._signed_hi
-        last = len(plan.levels) - 1
-        for i, (half, odd) in enumerate(plan.levels):
+        levels = bitops.reduction_levels(shape[0])
+        last = len(levels) - 1
+        buf = None
+        for i, (half, odd) in enumerate(levels):
             folded = self._add_words(
                 cur[:half], cur[half : 2 * half], bounds_a=bounds, bounds_b=bounds
             )
             if odd:
-                nxt = plan.buf[: half + 1]
+                if buf is None:
+                    buf = np.empty((half + 1,) + shape[1:], dtype=np.int64)
+                nxt = buf[: half + 1]
                 # Tail first: buf may alias cur after an earlier odd
                 # level, and index 2*half sits above every write here.
                 nxt[half] = cur[2 * half]
@@ -952,29 +772,17 @@ class ApproxEngine:
         """
         return self.add(x, alpha * self._to_float(d), resident=resident)
 
-    def sum(
-        self,
-        x,
-        axis: int | None = None,
-        *,
-        resident: bool = False,
-        assume_finite: bool = False,
-    ):
+    def sum(self, x, axis: int | None = None, *, resident: bool = False):
         """Tree-reduce ``x`` along ``axis`` (flattened when ``None``).
 
         Scalar reductions (``axis=None``) always return a float.
-        ``assume_finite=True`` skips the entry finiteness scan — only
-        pass it when finiteness is already proved (the pinned-operand
-        kernels do); the emitted words are identical either way.
         """
         scalar = axis is None
         if isinstance(x, ResidentVector):
             self._check_fmt(x)
             q = x.words
         else:
-            q = self.fmt.encode(
-                np.asarray(x, dtype=np.float64), assume_finite=assume_finite
-            )
+            q = self.fmt.encode(np.asarray(x, dtype=np.float64))
         if scalar:
             q = q.reshape(-1)
             axis = 0
@@ -1027,13 +835,10 @@ class ApproxEngine:
     def matvec(self, matrix, vector, *, resident: bool = False):
         """``matrix @ vector`` with approximate row accumulation.
 
-        Pass a :class:`ResidentMatrix` (from :meth:`pin_matrix`) as
-        ``matrix`` to skip the per-call product finiteness scan; results
-        are bit-identical either way.  A :class:`SparseResidentMatrix`
-        routes through the per-row segment reduction (``nnz_i - 1`` adds
-        per row) instead of the dense ``cols - 1``.
+        A :class:`SparseResidentMatrix` routes through the per-row
+        segment reduction (``nnz_i - 1`` adds per row) instead of the
+        dense ``cols - 1``.
         """
-        trusted = False
         if isinstance(matrix, SparseResidentMatrix):
             vec = self._to_float(vector).reshape(-1)
             if matrix.shape[1] != vec.shape[0]:
@@ -1041,40 +846,24 @@ class ApproxEngine:
                     f"matvec shape mismatch: {matrix.shape} vs {vec.shape}"
                 )
             return self._emit(self._sparse_matvec_words(matrix, vec), resident)
-        if isinstance(matrix, ResidentMatrix):
-            mat = matrix.array
-            pinned = matrix
-        else:
-            mat = np.asarray(matrix, dtype=np.float64)
-            pinned = None
+        mat = np.asarray(matrix, dtype=np.float64)
         vector = self._to_float(vector).reshape(-1)
         if mat.ndim != 2 or mat.shape[1] != vector.shape[0]:
             raise ValueError(
                 f"matvec shape mismatch: {mat.shape} vs {vector.shape}"
             )
-        if pinned is not None:
-            trusted = _trusted_product(pinned, vector)
-        return self.sum(
-            mat * vector[np.newaxis, :],
-            axis=1,
-            resident=resident,
-            assume_finite=trusted,
-        )
+        return self.sum(mat * vector[np.newaxis, :], axis=1, resident=resident)
 
     def weighted_sum(self, weights, points, *, resident: bool = False):
         """``sum_i weights[i] * points[i]`` over rows of ``points``.
 
         This is the M-step kernel of GMM/K-means mean updates — the
         computation the paper marks as the adder-impact site ("Mean
-        Value" in Table 2).  Pass a :class:`ResidentMatrix` (from
-        :meth:`pin_matrix`) as ``points`` to skip the per-call product
-        finiteness scan; results are bit-identical either way.  A
-        :class:`SparseResidentMatrix` reduces through its cached
-        transpose (``sum_i w_i * S[i, :] == S.T @ w``), so each output
-        component accumulates only the rows with a stored entry in that
-        column.
+        Value" in Table 2).  A :class:`SparseResidentMatrix` reduces
+        through its cached transpose (``sum_i w_i * S[i, :] == S.T @
+        w``), so each output component accumulates only the rows with a
+        stored entry in that column.
         """
-        trusted = False
         if isinstance(points, SparseResidentMatrix):
             w = self._to_float(weights).reshape(-1)
             if points.shape[0] != w.shape[0]:
@@ -1084,25 +873,13 @@ class ApproxEngine:
             return self._emit(
                 self._sparse_matvec_words(points.transpose(), w), resident
             )
-        if isinstance(points, ResidentMatrix):
-            pts = points.array
-            pinned = points
-        else:
-            pts = self._to_float(points)
-            pinned = None
+        pts = self._to_float(points)
         weights = self._to_float(weights).reshape(-1)
         if pts.shape[0] != weights.shape[0]:
             raise ValueError(
                 f"weighted_sum shape mismatch: {weights.shape} vs {pts.shape}"
             )
-        if pinned is not None:
-            trusted = _trusted_product(pinned, weights)
-        return self.sum(
-            weights[:, np.newaxis] * pts,
-            axis=0,
-            resident=resident,
-            assume_finite=trusted,
-        )
+        return self.sum(weights[:, np.newaxis] * pts, axis=0, resident=resident)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product.
@@ -1380,10 +1157,9 @@ class BatchedEngine:
     the per-lane saturation bounds only decide whether the true-sum
     recompute executes, never what it produces.
 
-    Shared operands — a :class:`ResidentVector`, a
-    :class:`ResidentMatrix`, or a plain ``(N,)`` array common to every
-    lane — broadcast against the lane stacks via NumPy trailing-axis
-    alignment.
+    Shared operands — a :class:`ResidentVector` or a plain ``(N,)``
+    array common to every lane — broadcast against the lane stacks via
+    NumPy trailing-axis alignment.
 
     Call :meth:`select_lanes` before issuing kernels: charges go to the
     selected lane ids of the shared :class:`BatchedEnergyLedger`, which
@@ -1417,16 +1193,9 @@ class BatchedEngine:
         self.ledger = ledger
         self._signed_lo, self._signed_hi = bitops.signed_range(fmt.width)
         self.lane_ids: np.ndarray | None = None
-        self._pinned: dict[str, tuple[np.ndarray, ResidentVector]] = {}
-        self._pinned_matrices: dict[str, tuple[np.ndarray, ResidentMatrix]] = {}
-        self._reduce_plans: dict[tuple[int, ...], ReductionPlan] = {}
-        self.encode_cache_hits = 0
-        self.encode_cache_misses = 0
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
 
     # ------------------------------------------------------------------
-    # Lane selection and pinned operands
+    # Lane selection
     # ------------------------------------------------------------------
     def select_lanes(self, lane_ids) -> None:
         """Set the ledger lanes subsequent kernel calls charge to.
@@ -1450,58 +1219,6 @@ class BatchedEngine:
                 f"got {ids.tolist()}"
             )
         self.lane_ids = ids
-
-    def pin(self, name: str, array: np.ndarray) -> ResidentVector:
-        """Encode a lane-shared additive constant once (see
-        :meth:`ApproxEngine.pin`; encoding charges no energy, so pinning
-        never perturbs parity with solo runs)."""
-        arr = np.asarray(array, dtype=np.float64)
-        entry = self._pinned.get(name)
-        if entry is not None and entry[0] is arr:
-            self.encode_cache_hits += 1
-            return entry[1]
-        rv = ResidentVector(self.fmt.encode(arr), self.fmt)
-        rv.bounds()
-        self._pinned[name] = (arr, rv)
-        self.encode_cache_misses += 1
-        return rv
-
-    def pin_matrix(self, name: str, matrix: np.ndarray) -> ResidentMatrix:
-        """Validate a lane-shared multiplicative constant once (see
-        :meth:`ApproxEngine.pin_matrix`).  Sparse operands pass through
-        (:class:`SparseResidentMatrix`) or are adopted (``tocsr()``
-        duck-types), exactly as in the solo engine."""
-        if isinstance(matrix, SparseResidentMatrix):
-            return matrix
-        if hasattr(matrix, "tocsr"):
-            entry = self._pinned_matrices.get(name)
-            if entry is not None and entry[0] is matrix:
-                self.encode_cache_hits += 1
-                return entry[1]
-            sp = SparseResidentMatrix.from_csr_like(matrix)
-            self._pinned_matrices[name] = (matrix, sp)
-            self.encode_cache_misses += 1
-            return sp
-        arr = np.asarray(matrix, dtype=np.float64)
-        entry = self._pinned_matrices.get(name)
-        if entry is not None and entry[0] is arr:
-            self.encode_cache_hits += 1
-            return entry[1]
-        rm = ResidentMatrix(arr)
-        self._pinned_matrices[name] = (arr, rm)
-        self.encode_cache_misses += 1
-        return rm
-
-    def cache_stats(self) -> dict[str, int]:
-        """Counters for the pin/encode and reduction-plan caches."""
-        return {
-            "encode_cache_hits": self.encode_cache_hits,
-            "encode_cache_misses": self.encode_cache_misses,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "pinned_operands": len(self._pinned) + len(self._pinned_matrices),
-            "reduce_plans": len(self._reduce_plans),
-        }
 
     # ------------------------------------------------------------------
     # Fixed-point plumbing (lane-aware)
@@ -1621,21 +1338,16 @@ class BatchedEngine:
         shape = cur.shape
         if shape[0] <= 1:
             return cur[0]
-        plan = self._reduce_plans.get(shape)
-        if plan is None:
-            plan = ReductionPlan(shape)
-            self._reduce_plans[shape] = plan
-            self.plan_cache_misses += 1
-        else:
-            self.plan_cache_hits += 1
         saturating = self.fmt.overflow == "saturate"
         bounds = None
         if saturating and cur.size:
             bounds = _lane_minmax(cur, lane_axis=1)
         exact = self.mode.adder.is_exact
         lo_w, hi_w = self._signed_lo, self._signed_hi
-        last = len(plan.levels) - 1
-        for i, (half, odd) in enumerate(plan.levels):
+        levels = bitops.reduction_levels(shape[0])
+        last = len(levels) - 1
+        buf = None
+        for i, (half, odd) in enumerate(levels):
             folded = self._add_words(
                 cur[:half],
                 cur[half : 2 * half],
@@ -1644,7 +1356,9 @@ class BatchedEngine:
                 lane_axis=1,
             )
             if odd:
-                nxt = plan.buf[: half + 1]
+                if buf is None:
+                    buf = np.empty((half + 1,) + shape[1:], dtype=np.int64)
+                nxt = buf[: half + 1]
                 nxt[half] = cur[2 * half]
                 nxt[:half] = folded
                 cur = nxt
@@ -1711,14 +1425,7 @@ class BatchedEngine:
             alpha = alpha.reshape((-1,) + (1,) * (df.ndim - 1))
         return self.add(x, alpha * df, resident=resident)
 
-    def sum(
-        self,
-        x,
-        axis: int | None = None,
-        *,
-        resident: bool = False,
-        assume_finite: bool = False,
-    ):
+    def sum(self, x, axis: int | None = None, *, resident: bool = False):
         """Per-lane tree reduction.
 
         ``axis`` indexes each lane's shape (the lane axis is implicit
@@ -1730,9 +1437,7 @@ class BatchedEngine:
             self._check_fmt(x)
             q = x.words
         else:
-            q = self.fmt.encode(
-                np.asarray(x, dtype=np.float64), assume_finite=assume_finite
-            )
+            q = self.fmt.encode(np.asarray(x, dtype=np.float64))
         if self.lane_ids is None:
             raise RuntimeError("call select_lanes() before issuing kernels")
         if q.ndim < 2 or q.shape[0] != self.lane_ids.shape[0]:
@@ -1791,7 +1496,6 @@ class BatchedEngine:
         stack, with approximate row accumulation.  Sparse operands
         route through the per-row segment reduction, as in the solo
         engine."""
-        trusted = False
         if isinstance(matrix, SparseResidentMatrix):
             xs = self._to_float(x)
             if xs.ndim != 2 or matrix.shape[1] != xs.shape[1]:
@@ -1799,27 +1503,19 @@ class BatchedEngine:
                     f"batched matvec shape mismatch: {matrix.shape} vs {xs.shape}"
                 )
             return self._emit(self._sparse_matvec_words(matrix, xs), resident)
-        if isinstance(matrix, ResidentMatrix):
-            mat = matrix.array
-            pinned = matrix
-        else:
-            mat = np.asarray(matrix, dtype=np.float64)
-            pinned = None
+        mat = np.asarray(matrix, dtype=np.float64)
         xs = self._to_float(x)
         if xs.ndim != 2 or mat.ndim != 2 or mat.shape[1] != xs.shape[1]:
             raise ValueError(
                 f"batched matvec shape mismatch: {mat.shape} vs {xs.shape}"
             )
-        if pinned is not None:
-            trusted = _trusted_product(pinned, xs)
         products = mat[np.newaxis, :, :] * xs[:, np.newaxis, :]
-        return self.sum(products, axis=1, resident=resident, assume_finite=trusted)
+        return self.sum(products, axis=1, resident=resident)
 
     def weighted_sum(self, weights, points, *, resident: bool = False):
         """Per-lane ``sum_i weights[lane, i] * points[i]`` over shared
         rows of ``points``.  Sparse operands reduce through the cached
         transpose, as in the solo engine."""
-        trusted = False
         if isinstance(points, SparseResidentMatrix):
             w = self._to_float(weights)
             if w.ndim != 2 or points.shape[0] != w.shape[1]:
@@ -1829,21 +1525,14 @@ class BatchedEngine:
             return self._emit(
                 self._sparse_matvec_words(points.transpose(), w), resident
             )
-        if isinstance(points, ResidentMatrix):
-            pts = points.array
-            pinned = points
-        else:
-            pts = self._to_float(points)
-            pinned = None
+        pts = self._to_float(points)
         w = self._to_float(weights)
         if w.ndim != 2 or pts.ndim != 2 or pts.shape[0] != w.shape[1]:
             raise ValueError(
                 f"batched weighted_sum shape mismatch: {w.shape} vs {pts.shape}"
             )
-        if pinned is not None:
-            trusted = _trusted_product(pinned, w)
         products = w[:, :, np.newaxis] * pts[np.newaxis, :, :]
-        return self.sum(products, axis=0, resident=resident, assume_finite=trusted)
+        return self.sum(products, axis=0, resident=resident)
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
         """Round-trip values through the datapath format (no energy)."""

@@ -4,24 +4,24 @@ An iterative method walks the *same* :class:`~repro.arith.ApproxEngine`
 op sequence every iteration at a fixed mode: the op kinds, operand
 shapes, reduction geometries and per-op ledger charges are all
 structure, not data.  Re-deriving that structure through Python dispatch
-every iteration — ``_coerce`` type switches, finiteness and saturation
-prechecks, plan lookups, one ledger call per elementary op — is where
-the solo end-to-end path loses its time (see ``docs/performance.md``).
+every iteration — ``_coerce`` type switches, constant-operand encodes,
+finiteness and saturation prechecks, one ledger call per elementary op
+— is where the solo end-to-end path loses its time (see
+``docs/performance.md``).
 
 This module captures that structure once and replays it, CUDA-graph
 style:
 
 * :class:`ProgramRecorder` — during ONE fully interpreted iteration,
   records every top-level engine call (kind, operand identities —
-  cached constants or iteration-varying slots — shapes, reduction
-  plans, saturation-precheck outcomes, and the exact per-op
-  ``(mode, n_adds, energy_per_add)`` charges) into an
-  :class:`IterationProgram`;
+  constants or iteration-varying slots — shapes, saturation-precheck
+  outcomes, and the exact per-op ``(mode, n_adds, energy_per_add)``
+  charges) into an :class:`IterationProgram`;
 * :class:`ProgramExecutor` — replays subsequent iterations by driving
-  the vectorized kernels directly: operands resolve through compiled
-  identity checks, reduction plans and broadcast decisions are
-  precomputed, saturation prechecks reuse cached bounds, and the whole
-  iteration's charges flush through a single ordered
+  the vectorized kernels directly: constants resolve by identity to the
+  words, bounds and ``abs_max`` computed once at compile time, broadcast
+  decisions are precomputed, saturation prechecks reuse cached bounds,
+  and the whole iteration's charges flush through a single ordered
   :meth:`~repro.arith.engine.EnergyLedger.charge_many` call;
 * :class:`ProgramEngine` / :class:`BatchedProgramEngine` — solo and
   lane-group engines hosting the record/replay state machine they share
@@ -36,7 +36,7 @@ re-runs the call interpreted.  ``tests/core/test_program_parity.py``
 asserts this across every solver × strategy.
 
 Bailouts (structure divergence drops the program; the iteration
-finishes interpreted and the next one re-records):
+finishes interpreted and the engine's next one re-records):
 
 * operand shape or kind change (``"shape"`` / ``"operand"``);
 * an op sequence that no longer matches the program (``"structure"`` /
@@ -44,11 +44,12 @@ finishes interpreted and the next one re-records):
 * an add whose recorded saturation precheck said "in range" now
   overflowing (``"saturation"``);
 * a recording the compiler cannot express (``"compile"``): reported
-  once, after which capture stays off for the engine's lifetime;
-* function-scheme rollbacks invalidate every engine's program up front
-  (driven by :class:`~repro.core.framework.ApproxIt`), so the retried
-  iteration re-records; a mode switch selects that mode's own engine
-  and keeps its program.
+  once, after which capture stays off for the engine's lifetime.
+
+Nothing else drops a program.  A function-scheme rollback keeps every
+engine's: the retried iteration replays its mode's program, whose
+per-add saturation re-proof and structural checks guard every step; a
+mode switch selects that mode's own engine and keeps its program.
 
 The interpreted path stays byte-for-byte untouched as the regression
 oracle: a ``ProgramEngine`` with capture off *is* the plain engine, and
@@ -64,12 +65,11 @@ from repro.arith.engine import (
     ApproxEngine,
     BatchedEngine,
     LaneStack,
-    ReductionPlan,
-    ResidentMatrix,
     ResidentVector,
     SparseResidentMatrix,
     _reduce_csr_rows,
 )
+from repro.hardware import bitops
 
 _IDLE = "idle"
 _RECORD = "record"
@@ -116,10 +116,9 @@ def _word_operand(engine, operand, slots, negate=False):
       like the interpreted encode);
     * anything else — *maybe-constant*: the capture-time encoding is
       cached and returned on an ``is``-identity hit, any other
-      same-shaped array re-encodes fresh.  Identity keying matches the
-      ``pin`` convention: arrays fed to the engine are immutable —
-      mutate-in-place operands must be declared via
-      ``IterativeMethod.replay_operands``.
+      same-shaped array re-encodes fresh.  Identity keying treats
+      arrays fed to the engine as immutable — mutate-in-place operands
+      must be declared via ``IterativeMethod.replay_operands``.
     """
     fmt = engine.fmt
     signed_lo = engine._signed_lo
@@ -231,57 +230,27 @@ def _float_operand(engine, operand, slots):
 
 
 def _matrix_operand(engine, operand, slots):
-    """Compile a resolver: operand -> ``(float array, abs_max, strict)``.
+    """Compile a resolver: operand -> ``(float array, abs_max)``.
 
-    ``abs_max`` is a proven-finite absolute bound enabling the trusted
-    (scan-skipping) product encode; ``None`` means the replay must run
-    the full checked encode, exactly as the interpreted call would.
-    ``strict`` marks a :class:`ResidentMatrix` — there the interpreted
-    path itself runs ``_trusted_product`` (which *raises* on a
-    non-finite varying operand), so the replay must replicate that
-    contract exactly; for an identity-hit plain constant the interpreted
-    path is a checked encode, so the bound is only an optimisation and
-    must never raise where the checked encode would not.
+    ``abs_max`` is the compile-time absolute bound of a finite constant,
+    returned on an identity hit; it enables the trusted (scan-skipping)
+    product encode and the fused product-reduce.  ``None`` means the
+    replay runs the full checked encode, exactly as the interpreted call
+    does — for slots, non-finite constants and any other array.
     """
-    if isinstance(operand, ResidentMatrix):
-        obj = operand
-        shape = operand.array.shape
-
-        def resolve(op):
-            if op is obj:
-                return obj.array, obj.abs_max, True
-            if isinstance(op, ResidentMatrix) and op.array.shape == shape:
-                return op.array, op.abs_max, True
-            raise ProgramBailout("operand")
-
-        return resolve
-
     arr = np.asarray(operand, dtype=np.float64)
     shape = arr.shape
-    if _is_slot(operand, arr, slots) or not np.all(np.isfinite(arr)):
-
-        def resolve(op):
-            if isinstance(op, ResidentMatrix):
-                raise ProgramBailout("operand")
-            a = np.asarray(op, dtype=np.float64)
-            if a.shape != shape:
-                raise ProgramBailout("shape")
-            return a, None, False
-
-        return resolve
-
+    finite = not _is_slot(operand, arr, slots) and bool(np.all(np.isfinite(arr)))
     obj = operand if isinstance(operand, np.ndarray) else arr
-    abs_max = float(np.abs(arr).max()) if arr.size else 0.0
+    abs_max = float(np.abs(arr).max()) if finite and arr.size else 0.0
 
     def resolve(op):
-        if op is obj:
-            return arr, abs_max, False
-        if isinstance(op, ResidentMatrix):
-            raise ProgramBailout("operand")
+        if finite and op is obj:
+            return arr, abs_max
         a = np.asarray(op, dtype=np.float64)
         if a.shape != shape:
             raise ProgramBailout("shape")
-        return a, None, False
+        return a, None
 
     return resolve
 
@@ -327,9 +296,9 @@ def _replay_add_words(engine, qa, qb, bounds_a, bounds_b, sat_recorded):
     return engine.backend.add_signed(engine.mode.adder, qa, qb)
 
 
-def _replay_reduce(engine, q, plan, sat_recorded):
+def _replay_reduce(engine, q, sat_recorded):
     """Tree-reduce axis 0, bit-identical to ``_reduce_words`` sans
-    charges and plan lookups.
+    charges.
 
     Fast route: exact adder, saturating format, no saturation recorded,
     and one O(1) proof that *every* partial sum stays in the word —
@@ -360,8 +329,10 @@ def _replay_reduce(engine, q, plan, sat_recorded):
     bounds = None
     if saturating and cur.size:
         bounds = (int(cur.min()), int(cur.max()))
-    last = len(plan.levels) - 1
-    for i, (half, odd) in enumerate(plan.levels):
+    levels = bitops.reduction_levels(q.shape[0])
+    last = len(levels) - 1
+    buf = None
+    for i, (half, odd) in enumerate(levels):
         qa = cur[:half]
         qb = cur[half : 2 * half]
         out = backend.add_signed(adder, qa, qb)
@@ -382,7 +353,9 @@ def _replay_reduce(engine, q, plan, sat_recorded):
                 if np.any(overflowed):
                     out = np.where(overflowed, np.clip(true, lo_w, hi_w), out)
         if odd:
-            nxt = plan.buf[: half + 1]
+            if buf is None:
+                buf = np.empty((half + 1,) + q.shape[1:], dtype=np.int64)
+            nxt = buf[: half + 1]
             nxt[half] = cur[2 * half]
             nxt[:half] = out
             cur = nxt
@@ -399,18 +372,6 @@ def _replay_reduce(engine, q, plan, sat_recorded):
             else:
                 bounds = (int(cur.min()), int(cur.max()))
     return cur[0]
-
-
-def _get_plan(engine, shape) -> ReductionPlan | None:
-    """The engine's cached plan for a reduce-input shape (created on
-    first capture of that shape; shared with the interpreted path)."""
-    if shape[0] <= 1:
-        return None
-    plan = engine._reduce_plans.get(shape)
-    if plan is None:
-        plan = ReductionPlan(shape)
-        engine._reduce_plans[shape] = plan
-    return plan
 
 
 # ----------------------------------------------------------------------
@@ -564,12 +525,10 @@ class _SumStep:
         "arr_shape",
         "scalar",
         "axis",
-        "assume_finite",
         "resident",
-        "plan",
     )
 
-    def __init__(self, engine, op, slots):
+    def __init__(self, op):
         (x,) = op.args
         self.kind = "sum"
         self.params = op.params
@@ -577,22 +536,14 @@ class _SumStep:
         self.sat = any(op.sat)
         axis = op.params["axis"]
         self.scalar = axis is None
-        self.assume_finite = op.params["assume_finite"]
+        self.axis = 0 if self.scalar else axis
         self.resident = op.params["resident"]
         if isinstance(x, ResidentVector):
             self.rv_shape = x.words.shape
             self.arr_shape = None
-            qshape = x.words.shape
         else:
             self.rv_shape = None
             self.arr_shape = np.asarray(x, dtype=np.float64).shape
-            qshape = self.arr_shape
-        if self.scalar:
-            qshape = (int(np.prod(qshape)),)
-            axis = 0
-        self.axis = axis
-        rshape = np.moveaxis(np.empty(qshape, dtype=np.int64), axis, 0).shape
-        self.plan = _get_plan(engine, rshape)
 
     def _words(self, engine, x):
         if self.rv_shape is not None:
@@ -608,16 +559,14 @@ class _SumStep:
         arr = np.asarray(x, dtype=np.float64)
         if arr.shape != self.arr_shape:
             raise ProgramBailout("shape")
-        return engine.fmt.encode(arr, assume_finite=self.assume_finite)
+        return engine.fmt.encode(arr)
 
     def replay(self, engine, args):
         (x,) = args
         q = self._words(engine, x)
         if self.scalar:
             q = q.reshape(-1)
-        reduced = _replay_reduce(
-            engine, np.moveaxis(q, self.axis, 0), self.plan, self.sat
-        )
+        reduced = _replay_reduce(engine, np.moveaxis(q, self.axis, 0), self.sat)
         if self.scalar:
             return float(engine.fmt.decode(reduced))
         return engine._emit(reduced, self.resident)
@@ -659,7 +608,7 @@ class _ZeroSumStep:
             arr = np.asarray(x, dtype=np.float64)
             if arr.shape != self.arr_shape:
                 raise ProgramBailout("shape")
-            if not self.params["assume_finite"] and not np.all(np.isfinite(arr)):
+            if not np.all(np.isfinite(arr)):
                 raise ValueError(_NONFINITE_MSG)
         if self.scalar:
             return 0.0
@@ -669,7 +618,7 @@ class _ZeroSumStep:
 class _DotStep:
     """``dot``: exact products, approximate accumulation, scalar out."""
 
-    __slots__ = ("kind", "params", "charges", "sat", "res_a", "res_b", "n", "plan")
+    __slots__ = ("kind", "params", "charges", "sat", "res_a", "res_b", "n")
 
     def __init__(self, engine, op, slots):
         a, b = op.args
@@ -679,9 +628,7 @@ class _DotStep:
         self.sat = any(op.sat)
         self.res_a = _float_operand(engine, a, slots)
         self.res_b = _float_operand(engine, b, slots)
-        fa = engine._to_float(a).reshape(-1)
-        self.n = fa.shape[0]
-        self.plan = _get_plan(engine, (self.n,))
+        self.n = engine._to_float(a).size
 
     def replay(self, engine, args):
         a, b = args
@@ -690,20 +637,20 @@ class _DotStep:
         q = engine.fmt.encode(fa * fb)
         if self.n == 0:
             return 0.0
-        reduced = _replay_reduce(engine, q, self.plan, self.sat)
+        reduced = _replay_reduce(engine, q, self.sat)
         return float(engine.fmt.decode(reduced))
 
 
-def _trusted_encode(engine, product, varying, abs_max, strict):
+def _trusted_encode(engine, product, varying, abs_max, strict=False):
     """Encode a const × varying product, scan-skipping when provable.
 
     With a compile-proven-finite constant, one O(n) scan of the varying
     operand replaces the O(rows × cols) product scan.  ``strict`` (a
-    :class:`ResidentMatrix` operand) replicates ``_trusted_product``
-    verbatim — including its raise on a non-finite varying operand;
-    otherwise the interpreted call was a checked encode, so the bound
-    only *upgrades* provably-finite calls and every other case falls
-    back to the checked encode unchanged.
+    :class:`SparseResidentMatrix` operand) replicates
+    ``_trusted_product`` verbatim — including its raise on a non-finite
+    varying operand; a dense interpreted call is a checked encode, so
+    there the bound only *upgrades* provably-finite calls and every
+    other case falls back to the checked encode unchanged.
     """
     if abs_max is None:
         return engine.fmt.encode(product)
@@ -767,7 +714,7 @@ def _fused_product_ok(engine, step, abs_max, varying, n) -> bool:
 class _MatvecStep:
     """``matvec``: exact row products, approximate row accumulation."""
 
-    __slots__ = ("kind", "params", "charges", "sat", "res_mat", "res_vec", "rows", "cols", "plan", "zero_words", "resident", "bufs")
+    __slots__ = ("kind", "params", "charges", "sat", "res_mat", "res_vec", "rows", "cols", "zero_words", "resident", "bufs")
 
     def __init__(self, engine, op, slots):
         matrix, vector = op.args
@@ -780,7 +727,6 @@ class _MatvecStep:
         self.res_vec = _float_operand(engine, vector, slots)
         mat = np.asarray(matrix, dtype=np.float64)
         self.rows, self.cols = mat.shape
-        self.plan = _get_plan(engine, (self.cols, self.rows))
         self.zero_words = (
             engine.fmt.encode(np.zeros(self.rows)) if self.cols == 0 else None
         )
@@ -788,7 +734,7 @@ class _MatvecStep:
 
     def replay(self, engine, args):
         matrix, vector = args
-        mat, abs_max, strict = self.res_mat(matrix)
+        mat, abs_max = self.res_mat(matrix)
         vec = self.res_vec(vector).reshape(-1)
         if self.cols == 0:
             return engine._emit(self.zero_words, self.resident)
@@ -798,15 +744,15 @@ class _MatvecStep:
             )
             return engine._emit(reduced, self.resident)
         product = mat * vec[np.newaxis, :]
-        q = _trusted_encode(engine, product, vec, abs_max, strict)
-        reduced = _replay_reduce(engine, q.T, self.plan, self.sat)
+        q = _trusted_encode(engine, product, vec, abs_max)
+        reduced = _replay_reduce(engine, q.T, self.sat)
         return engine._emit(reduced, self.resident)
 
 
 class _WeightedSumStep:
     """``weighted_sum``: exact scaling, approximate accumulation."""
 
-    __slots__ = ("kind", "params", "charges", "sat", "res_w", "res_pts", "n", "plan", "zero_words", "resident", "bufs")
+    __slots__ = ("kind", "params", "charges", "sat", "res_w", "res_pts", "n", "zero_words", "resident", "bufs")
 
     def __init__(self, engine, op, slots):
         weights, points = op.args
@@ -819,7 +765,6 @@ class _WeightedSumStep:
         self.res_pts = _matrix_operand(engine, points, slots)
         pts = np.asarray(points, dtype=np.float64)
         self.n = pts.shape[0]
-        self.plan = _get_plan(engine, pts.shape)
         self.zero_words = (
             engine.fmt.encode(np.zeros(pts.shape[1:])) if self.n == 0 else None
         )
@@ -828,7 +773,7 @@ class _WeightedSumStep:
     def replay(self, engine, args):
         weights, points = args
         w = self.res_w(weights).reshape(-1)
-        pts, abs_max, strict = self.res_pts(points)
+        pts, abs_max = self.res_pts(points)
         if self.n == 0:
             return engine._emit(self.zero_words, self.resident)
         if _fused_product_ok(engine, self, abs_max, w, self.n):
@@ -837,8 +782,8 @@ class _WeightedSumStep:
             )
             return engine._emit(reduced, self.resident)
         product = w[:, np.newaxis] * pts
-        q = _trusted_encode(engine, product, w, abs_max, strict)
-        reduced = _replay_reduce(engine, q, self.plan, self.sat)
+        q = _trusted_encode(engine, product, w, abs_max)
+        reduced = _replay_reduce(engine, q, self.sat)
         return engine._emit(reduced, self.resident)
 
 
@@ -905,7 +850,7 @@ class _SparseMatvecStep:
             )
             return engine._emit(out, self.resident)
         products = sp.data * vec[sp.indices]
-        q = _trusted_encode(engine, products, vec, sp.abs_max, True)
+        q = _trusted_encode(engine, products, vec, sp.abs_max, strict=True)
         out = _reduce_csr_rows(engine, sp.row_plan(), q)
         return engine._emit(out, self.resident)
 
@@ -982,7 +927,7 @@ def _compile_sum(engine, op, slots):
         eff_axis = axis
     if qshape[eff_axis] == 0:
         return _ZeroSumStep(engine, op, slots, qshape, eff_axis)
-    return _SumStep(engine, op, slots)
+    return _SumStep(op)
 
 
 def _compile_matvec(engine, op, slots):
@@ -1144,10 +1089,6 @@ class _ProgramCapture:
         if self._pstate is not _IDLE:
             self._slots[name] = value
 
-    def invalidate_program(self) -> None:
-        """Drop the cached program (the framework does so on rollback)."""
-        self.program = None
-
     def _close_window(self) -> tuple[str, str | None]:
         """Close the iteration window.
 
@@ -1273,13 +1214,15 @@ class _ProgramCapture:
         return self._impls[kind](self, *args, **params)
 
     def cache_stats(self) -> dict[str, int]:
-        stats = super().cache_stats()
-        stats["program_captures"] = self.program_captures
-        stats["program_replays"] = self.program_replays
-        stats["program_bailouts"] = self.program_bailouts
-        stats["program_cached"] = int(self.program is not None)
-        stats["program_compile_failed"] = int(self._program_unsupported)
-        return stats
+        """The program cache's counters (exported per engine by the
+        framework when capture is on)."""
+        return {
+            "program_captures": self.program_captures,
+            "program_replays": self.program_replays,
+            "program_bailouts": self.program_bailouts,
+            "program_cached": int(self.program is not None),
+            "program_compile_failed": int(self._program_unsupported),
+        }
 
 
 #: Interpreted implementations the dispatcher records through and bails
@@ -1355,25 +1298,14 @@ class ProgramEngine(_ProgramCapture, ApproxEngine):
             )
         return ApproxEngine.scale_add(self, x, alpha, d, resident=resident)
 
-    def sum(
-        self,
-        x,
-        axis: int | None = None,
-        *,
-        resident: bool = False,
-        assume_finite: bool = False,
-    ):
+    def sum(self, x, axis: int | None = None, *, resident: bool = False):
         if self._depth == 0 and (
             self._pstate is _RECORD or self._pstate is _REPLAY
         ):
             return self._dispatch(
-                "sum",
-                (x,),
-                {"axis": axis, "resident": resident, "assume_finite": assume_finite},
+                "sum", (x,), {"axis": axis, "resident": resident}
             )
-        return ApproxEngine.sum(
-            self, x, axis, resident=resident, assume_finite=assume_finite
-        )
+        return ApproxEngine.sum(self, x, axis, resident=resident)
 
     def dot(self, a, b) -> float:
         if self._depth == 0 and (
@@ -1601,8 +1533,7 @@ class _BSumStep:
 
     The reduce slab's leading dim is the per-lane reduced-axis length —
     fixed by the program — while the surviving lane dim floats with the
-    active group, so the reduction plan is fetched per replay (a dict
-    hit after the first call at each group size).
+    active group; the tree walk depends on the leading dim alone.
     """
 
     __slots__ = (
@@ -1614,7 +1545,6 @@ class _BSumStep:
         "trail",
         "scalar",
         "axis",
-        "assume_finite",
         "resident",
     )
 
@@ -1624,7 +1554,6 @@ class _BSumStep:
         self.params = op.params
         self.charges = tuple(op.charges)
         self.sat = any(op.sat)
-        self.assume_finite = op.params["assume_finite"]
         self.resident = op.params["resident"]
         axis = op.params["axis"]
         self.scalar = axis is None
@@ -1655,7 +1584,7 @@ class _BSumStep:
             arr = np.asarray(x, dtype=np.float64)
             if arr.shape[1:] != self.trail:
                 raise ProgramBailout("shape")
-            q = engine.fmt.encode(arr, assume_finite=self.assume_finite)
+            q = engine.fmt.encode(arr)
         if self.scalar:
             q = q.reshape(q.shape[0], -1)
             red_axis = 1
@@ -1666,9 +1595,7 @@ class _BSumStep:
             if self.scalar:
                 return out.reshape(q.shape[0])
             return engine._emit(engine.fmt.encode(out), self.resident)
-        slab = np.moveaxis(q, red_axis, 0)
-        plan = _get_plan(engine, slab.shape)
-        reduced = _replay_reduce(engine, slab, plan, self.sat)
+        reduced = _replay_reduce(engine, np.moveaxis(q, red_axis, 0), self.sat)
         if self.scalar:
             return engine.fmt.decode(reduced)
         return engine._emit(reduced, self.resident)
@@ -1694,7 +1621,7 @@ class _BMatvecStep:
 
     def replay(self, engine, args):
         matrix, vector = args
-        mat, abs_max, strict = self.res_mat(matrix)
+        mat, abs_max = self.res_mat(matrix)
         xs = self.res_vec(vector)
         if self.cols == 0:
             zeros = engine.fmt.encode(np.zeros((xs.shape[0], self.rows)))
@@ -1709,10 +1636,8 @@ class _BMatvecStep:
             )
             return engine._emit(reduced, self.resident)
         products = mat[np.newaxis, :, :] * xs[:, np.newaxis, :]
-        q = _trusted_encode(engine, products, xs, abs_max, strict)
-        slab = np.moveaxis(q, 2, 0)
-        plan = _get_plan(engine, slab.shape)
-        reduced = _replay_reduce(engine, slab, plan, self.sat)
+        q = _trusted_encode(engine, products, xs, abs_max)
+        reduced = _replay_reduce(engine, np.moveaxis(q, 2, 0), self.sat)
         return engine._emit(reduced, self.resident)
 
 
@@ -1737,7 +1662,7 @@ class _BWeightedSumStep:
     def replay(self, engine, args):
         weights, points = args
         w = self.res_w(weights)
-        pts, abs_max, strict = self.res_pts(points)
+        pts, abs_max = self.res_pts(points)
         if self.n == 0:
             zeros = engine.fmt.encode(
                 np.zeros((w.shape[0],) + pts.shape[1:])
@@ -1753,10 +1678,8 @@ class _BWeightedSumStep:
             )
             return engine._emit(reduced, self.resident)
         products = w[:, :, np.newaxis] * pts[np.newaxis, :, :]
-        q = _trusted_encode(engine, products, w, abs_max, strict)
-        slab = np.moveaxis(q, 1, 0)
-        plan = _get_plan(engine, slab.shape)
-        reduced = _replay_reduce(engine, slab, plan, self.sat)
+        q = _trusted_encode(engine, products, w, abs_max)
+        reduced = _replay_reduce(engine, np.moveaxis(q, 1, 0), self.sat)
         return engine._emit(reduced, self.resident)
 
 
@@ -1813,7 +1736,7 @@ class _BSparseMatvecStep:
             )
             return engine._emit(out, self.resident)
         products = sp.data[np.newaxis, :] * xs[:, sp.indices]
-        q = _trusted_encode(engine, products, xs, sp.abs_max, True)
+        q = _trusted_encode(engine, products, xs, sp.abs_max, strict=True)
         out = _reduce_csr_rows(engine, sp.row_plan(), q)
         return engine._emit(out, self.resident)
 
@@ -1991,25 +1914,14 @@ class BatchedProgramEngine(_ProgramCapture, BatchedEngine):
             )
         return BatchedEngine.scale_add(self, x, alpha, d, resident=resident)
 
-    def sum(
-        self,
-        x,
-        axis: int | None = None,
-        *,
-        resident: bool = False,
-        assume_finite: bool = False,
-    ):
+    def sum(self, x, axis: int | None = None, *, resident: bool = False):
         if self._depth == 0 and (
             self._pstate is _RECORD or self._pstate is _REPLAY
         ):
             return self._dispatch(
-                "sum",
-                (x,),
-                {"axis": axis, "resident": resident, "assume_finite": assume_finite},
+                "sum", (x,), {"axis": axis, "resident": resident}
             )
-        return BatchedEngine.sum(
-            self, x, axis, resident=resident, assume_finite=assume_finite
-        )
+        return BatchedEngine.sum(self, x, axis, resident=resident)
 
     def matvec(self, matrix, x, *, resident: bool = False):
         if self._depth == 0 and (

@@ -10,8 +10,8 @@ summands cost ``n - 1`` additions.
 
 It shares no kernel code with the production engines or the kernel
 backend, caches nothing and always returns floats.  It is the oracle
-their residency, caches, saturation prechecks, program replay and fused
-kernels are checked against (bit-identical words, float-equal ledgers)
+their residency, saturation prechecks, program replay and fused kernels
+are checked against (bit-identical words, float-equal ledgers)
 and the baseline the perf benchmarks time them against.  Like
 :mod:`repro.hardware.adders.reference`, no production path uses it.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arith.engine import EnergyLedger, ResidentMatrix, SparseResidentMatrix
+from repro.arith.engine import EnergyLedger, SparseResidentMatrix
 from repro.arith.fixed import FixedPointFormat
 from repro.arith.modes import ApproxMode
 from repro.hardware import bitops
@@ -29,8 +29,7 @@ from repro.hardware import bitops
 class ReferenceEngine:
     """The solo kernels through one mode, written as a spec.
 
-    Takes the production engines' ``resident=`` and ``assume_finite=``
-    keywords and ignores them.  A batched lane equals a solo run of that
+    Takes the production engines' ``resident=`` keyword and ignores it.  A batched lane equals a solo run of that
     lane, so this engine is the batched oracle too.
     """
 
@@ -43,19 +42,6 @@ class ReferenceEngine:
         self.fmt = fmt
         self.ledger = ledger if ledger is not None else EnergyLedger()
         self._lo, self._hi = bitops.signed_range(fmt.width)
-
-    def pin(self, name: str, array) -> np.ndarray:
-        """The quantized floats of an additive constant (checked encode)."""
-        return self.fmt.quantize(np.asarray(array, dtype=np.float64))
-
-    def pin_matrix(self, name: str, matrix):
-        """A multiplicative constant, validated by the production pin's
-        own constructors on every call; nothing is cached."""
-        if isinstance(matrix, SparseResidentMatrix):
-            return matrix
-        if hasattr(matrix, "tocsr"):
-            return SparseResidentMatrix.from_csr_like(matrix)
-        return ResidentMatrix(matrix).array
 
     # ------------------------------------------------------------------
     # Datapath stages (words in, words out)
@@ -109,7 +95,7 @@ class ReferenceEngine:
     def scale_add(self, x, alpha, d, *, resident: bool = False) -> np.ndarray:
         return self.add(x, alpha * np.asarray(d, dtype=np.float64))
 
-    def sum(self, x, axis=None, *, resident: bool = False, assume_finite: bool = False):
+    def sum(self, x, axis=None, *, resident: bool = False):
         """Tree-reduce along ``axis``; a float when ``axis`` is ``None``."""
         q = self.fmt.encode(np.asarray(x, dtype=np.float64))
         scalar = axis is None

@@ -354,13 +354,13 @@ class ApproxIt:
             for policy in policies:
                 policy.bind_observer(None)
         if observer is not None:
-            self._export_cache_metrics(engines, observer)
+            self._export_cache_metrics(engines if capture else {}, observer)
         return results
 
-    def _export_cache_metrics(
-        self, engines: dict[str, ApproxEngine], observer: Observer
-    ) -> None:
-        """Expose the run's cache effectiveness through the observer.
+    def _export_cache_metrics(self, engines: dict, observer: Observer) -> None:
+        """Expose the run's cache effectiveness through the observer:
+        each program engine's ``program_*`` counters (capture on) and
+        the characterization cache's.
 
         Gauges (not counters): each records the state at the end of this
         run, so merging registries across runs keeps the latest reading
@@ -552,11 +552,13 @@ class _OnlineLoop:
     retry reads the accepted iterate's.
 
     With ``capture`` on, each mode's engine records its first iteration
-    and replays it thereafter.  A rollback invalidates every engine's
-    program; a mode switch does not (it selects that mode's own engine
-    and program), and neither does a lane group recomposing, because
-    batched steps validate per-lane trailing dims only and charge in
-    lane-count-independent units.
+    and replays it thereafter.  Programs survive rollbacks: the retried
+    iteration replays its mode's program, whose per-add saturation
+    re-proof and structural checks bail to the interpreted path where
+    the recording no longer holds.  A mode switch selects that mode's
+    own engine and program, and a lane group recomposing keeps it too,
+    because batched steps validate per-lane trailing dims only and
+    charge in lane-count-independent units.
     """
 
     def __init__(
@@ -642,14 +644,7 @@ class _OnlineLoop:
                     grad_new = None
                     if lane.policy.needs_gradient:
                         grad_new = method.gradient(x_new, **state_kwargs(state_new))
-                    rolled_back = self.settle(lane, x_new, f_new, grad_new, state_new, execution)
-                    if rolled_back and self.capture:
-                        # The retried iteration starts from the same x on
-                        # an escalated mode; recorded saturation envelopes
-                        # no longer describe the regime, so every engine
-                        # re-records its next iteration.
-                        for engine in self.engines.values():
-                            engine.invalidate_program()
+                    self.settle(lane, x_new, f_new, grad_new, state_new, execution)
         return [self._result(lane) for lane in lanes]
 
     def _switch(self, mode_name: str, group: list[_Lane]) -> None:
@@ -784,13 +779,10 @@ class _OnlineLoop:
                 )
         return execution
 
-    def settle(self, lane: _Lane, x_new, f_new, grad_new, state_new, execution) -> bool:
+    def settle(self, lane: _Lane, x_new, f_new, grad_new, state_new, execution) -> None:
         """Observe one executed iteration of ``lane``, let its strategy
         decide, and accept it (with its ``evaluate`` state) or roll it
-        back (dropping the state).
-
-        Returns whether the iteration rolled back.
-        """
+        back (dropping the state)."""
         mode, policy, observer = lane.mode, lane.policy, lane.observer
         iteration = lane.executed
         lane.executed += 1
@@ -877,7 +869,6 @@ class _OnlineLoop:
                 lane.converged = lane.done = True
         if lane.executed >= self.budget:
             lane.done = True
-        return rolled_back
 
     def _result(self, lane: _Lane) -> RunResult:
         ledger = self.ledger

@@ -32,9 +32,9 @@ iteration.
 Because the angle LUT reconfigures in both directions, runs under this
 strategy bounce between modes more than incremental ones; program
 capture/replay (:mod:`repro.arith.program`) caches one iteration
-program *per mode*, so revisiting a mode replays its existing program
-rather than re-recording, and LUT refreshes never touch the cache
-(only rollbacks invalidate it).
+program *per mode*, so revisiting a mode — after a rollback too —
+replays its existing program rather than re-recording, and LUT
+refreshes never touch the cache.
 
 The function scheme's rollback is retained as the recovery safety net,
 and premature convergence in an approximate mode hands over to the

@@ -15,12 +15,12 @@ which is what underwrites the paper's convergence guarantee.
 
 Interaction with program capture/replay (:mod:`repro.arith.program`):
 each escalation switches to a different per-mode engine, whose own
-iteration program (if previously captured) replays unchanged — the
-switch itself never invalidates programs.  A function-scheme rollback
-does: the rolled-back iterate makes every cached op trace stale, so the
-framework drops all programs and the next iteration on any mode
-re-records.  Both paths are bit-identical to the interpreted loop, so
-the strategy's decisions are unaffected by capture.
+iteration program (if previously captured) replays unchanged.  Neither
+the switch nor a function-scheme rollback drops a program: replay
+re-proves saturation per add and bails to the interpreted path where
+the recording no longer holds.  Every path is bit-identical to the
+interpreted loop, so the strategy's decisions are unaffected by
+capture.
 """
 
 from __future__ import annotations

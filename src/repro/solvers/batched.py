@@ -16,19 +16,20 @@ kernel calls the solo method performs (same operands, same order), so
 per-lane iterates are bit-identical to solo runs and per-lane energy
 ledgers exactly equal.  The covered methods:
 
-* Jacobi, gradient descent (quadratic / Rosenbrock / default-gradient
-  functions), least squares — stacked directly;
+* Jacobi, least squares (dense and CSR designs) and red-black
+  Gauss–Seidel / SOR
+  (:class:`~repro.solvers.linear.RedBlackGaussSeidelSolver` /
+  :class:`~repro.solvers.linear.RedBlackSorSolver`) — the method's own
+  ``direction`` is written against the polymorphic kernel API, so the
+  passthrough adapter hands it the lane stack unchanged;
+* gradient descent (quadratic / Rosenbrock / default-gradient
+  functions) — stacked directly;
 * conjugate gradient — stacked, with per-lane direction caches (its
   mid-iteration lane sub-selection keeps it off the program-replay fast
   path: ``replayable = False``);
 * Gauss–Seidel and SOR — the O(n²) residual accumulation is stacked
   through the engine; the exact triangular solve runs per lane with
   byte-identical inputs, so per-lane outputs match solo runs exactly;
-* red-black Gauss–Seidel / SOR
-  (:class:`~repro.solvers.linear.RedBlackGaussSeidelSolver` /
-  :class:`~repro.solvers.linear.RedBlackSorSolver`) — the half-sweep
-  direction is written against the polymorphic kernel API, so the
-  adapter passes the lane stack straight through;
 * Gaussian-mixture EM — responsibilities come from the lane states
   (each lane's exact E-step, done once by its ``evaluate``) and the
   variance/weight tail is exact per lane; the k per-component weighted
@@ -180,15 +181,19 @@ class BatchedKernels:
         return engine.scale_add(X, alphas, D)
 
 
-class _BatchedJacobi(BatchedKernels):
-    """``d = (b - A x) / diag(A)`` per lane, constants pinned as solo."""
+class _Passthrough(BatchedKernels):
+    """The method's own ``direction`` over the ``(L, n)`` stack.
+
+    For methods whose ``direction`` is written against the polymorphic
+    kernel API — Jacobi's residual, least squares' Gram-form or CSR
+    residual-form gradient (the AutoRegression application inherits
+    it), the red-black half sweeps (see
+    :class:`~repro.solvers.linear._RedBlackSplittingSolver`) — so the
+    solo code runs the lane stack unchanged.  Their states, when any,
+    go unread."""
 
     def direction(self, X, lane_ids, engine, states=None):
-        m = self.method
-        rhs = engine.pin("rhs", m.rhs)
-        matrix = engine.pin_matrix("matrix", m.matrix)
-        residual = engine.sub(rhs, engine.matvec(matrix, X, resident=True))
-        return residual / m._diag
+        return self.method.direction(X, engine)
 
 
 class _BatchedGaussSeidel(BatchedKernels):
@@ -233,16 +238,6 @@ class _BatchedSor(BatchedKernels):
                 for row in range(R.shape[0])
             ]
         )
-
-
-class _BatchedRedBlack(BatchedKernels):
-    """Passthrough: the red-black half sweeps are written against the
-    polymorphic kernel API, so the solver's own ``direction`` runs the
-    ``(L, n)`` stack unchanged (see
-    :class:`~repro.solvers.linear._RedBlackSplittingSolver`)."""
-
-    def direction(self, X, lane_ids, engine, states=None):
-        return self.method.direction(X, engine)
 
 
 class _BatchedCG(BatchedKernels):
@@ -330,22 +325,6 @@ class _BatchedGD(BatchedKernels):
         return -grad
 
 
-class _BatchedLeastSquares(BatchedKernels):
-    """Gram-form least-squares gradient, constants pinned as solo.
-
-    Covers :class:`LeastSquaresGD` and subclasses that override no loop
-    hook — notably the AutoRegression application, whose additions are
-    all inherited.
-    """
-
-    def direction(self, X, lane_ids, engine):
-        m = self.method
-        gram = engine.pin_matrix("gram", m._gram)
-        neg_xty = engine.pin("neg_xty", m._neg_xty)
-        grad = engine.add(engine.matvec(gram, X, resident=True), neg_xty)
-        return -grad
-
-
 class _BatchedGmm(BatchedKernels):
     """EM over per-component lane stacking.
 
@@ -371,12 +350,11 @@ class _BatchedGmm(BatchedKernels):
         counts = [
             np.maximum(resp.sum(axis=0), _WEIGHT_FLOOR * m._n) for resp in resps
         ]
-        points = engine.pin_matrix("points", m.points)
         k, dim = m.n_clusters, m._d
         new_means = np.empty((L, k, dim))
         for comp in range(k):
             weights = np.stack([resp[:, comp] for resp in resps])
-            sums = engine.weighted_sum(weights, points)
+            sums = engine.weighted_sum(weights, m.points)
             comp_counts = np.array([c[comp] for c in counts])
             new_means[:, comp, :] = sums / comp_counts[:, None]
         D = np.empty_like(X)
@@ -417,13 +395,13 @@ def _make_gd(method: GradientDescent, lanes: int) -> BatchedKernels | None:
 #: Adapter registry, matched by ``isinstance`` in order — subclasses
 #: with their own entry (none today) must precede their base.
 _REGISTRY: tuple = (
-    (JacobiSolver, _BatchedJacobi),
-    (_RedBlackSplittingSolver, _BatchedRedBlack),
+    (JacobiSolver, _Passthrough),
+    (_RedBlackSplittingSolver, _Passthrough),
     (GaussSeidelSolver, _BatchedGaussSeidel),
     (SorSolver, _BatchedSor),
     (ConjugateGradient, _BatchedCG),
     (GradientDescent, _make_gd),
-    (LeastSquaresGD, _BatchedLeastSquares),
+    (LeastSquaresGD, _Passthrough),
     (GaussianMixtureEM, _BatchedGmm),
 )
 

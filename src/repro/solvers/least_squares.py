@@ -81,9 +81,8 @@ class LeastSquaresGD(IterativeMethod):
                 design.T @ design / self._n + ridge * np.eye(design.shape[1])
             )
             self._xty = design.T @ targets / self._n
-        # Negated once so the engine can pin it: the gradient subtract
-        # becomes an add of a cached constant, encoding the exact same
-        # ``-Xᵀy/n`` floats the un-pinned subtract encoded per call.
+        # Negated once: the gradient subtract becomes an add of a
+        # constant, which program replay encodes once at compile time.
         self._neg_xty = -self._xty
         if learning_rate is None:
             if self._sparse:
@@ -149,20 +148,16 @@ class LeastSquaresGD(IterativeMethod):
             # subtract, and the Xᵀr/n reduction all run on the engine
             # through the sparse kernels; the 1/n scaling and the ridge
             # term are exact (cheap O(n)/O(p) control logic).
-            design = engine.pin_matrix("design", self.design)
-            targets = engine.pin("targets", self.targets)
-            pred = engine.matvec(design, w, resident=True)
-            r = engine.sub(pred, targets, resident=True)
-            grad = engine.weighted_sum(np.asarray(r) / self._n, design)
+            pred = engine.matvec(self.design, w, resident=True)
+            r = engine.sub(pred, self.targets, resident=True)
+            grad = engine.weighted_sum(np.asarray(r) / self._n, self.design)
             if self.ridge:
                 grad = grad + self.ridge * np.asarray(w, dtype=np.float64)
             return -grad
         # Gram-form gradient: the p x p reduction runs on the engine.
-        # Constants are pinned — the Gram matrix is finiteness-profiled
-        # once and ``-Xᵀy/n`` encodes once per engine.
-        gram = engine.pin_matrix("gram", self._gram)
-        neg_xty = engine.pin("neg_xty", self._neg_xty)
-        grad = engine.add(engine.matvec(gram, w, resident=True), neg_xty)
+        grad = engine.add(
+            engine.matvec(self._gram, w, resident=True), self._neg_xty
+        )
         return -grad
 
     def step_size(self, w: np.ndarray, d: np.ndarray, iteration: int) -> float:

@@ -102,13 +102,9 @@ class _SplittingSolver(IterativeMethod):
         """``b − A x`` with approximate accumulation.
 
         The matvec result stays fixed-point resident into the subtract —
-        one encode on entry, one decode on exit — and the constants are
-        pinned: ``b`` encodes once per engine, ``A`` is finiteness-
-        profiled once so per-iteration products skip the full scan.
+        one encode on entry, one decode on exit.
         """
-        rhs = engine.pin("rhs", self.rhs)
-        matrix = engine.pin_matrix("matrix", self.matrix)
-        return engine.sub(rhs, engine.matvec(matrix, x, resident=True))
+        return engine.sub(self.rhs, engine.matvec(self.matrix, x, resident=True))
 
     def solution(self) -> np.ndarray:
         """Direct solution, for QEM references in tests (densifies a
@@ -212,9 +208,9 @@ class _RedBlackSplittingSolver(_SplittingSolver):
         n = self.matrix.shape[0]
         self._red = np.arange(0, n, 2)
         self._black = np.arange(1, n, 2)
-        # Materialized once so the engines' pin()/pin_matrix() identity
-        # caches hit every iteration (a fresh fancy-index slice per call
-        # would re-encode each time).
+        # Materialized once: program replay resolves constant operands
+        # by identity to their compile-time encodings, and a fresh
+        # fancy-index slice per call would re-encode every iteration.
         self._color_rows = {"red": self._red, "black": self._black}
         self._color_rhs = {c: self.rhs[r].copy() for c, r in self._color_rows.items()}
         self._color_mat = {c: self.matrix[r].copy() for c, r in self._color_rows.items()}
@@ -227,9 +223,10 @@ class _RedBlackSplittingSolver(_SplittingSolver):
         diagonal scaling is exact, mirroring the full-sweep solvers.
         """
         rows = self._color_rows[color]
-        rhs_c = engine.pin(f"rhs_{color}", self._color_rhs[color])
-        mat_c = engine.pin_matrix(f"matrix_{color}", self._color_mat[color])
-        r = engine.sub(rhs_c, engine.matvec(mat_c, x, resident=True))
+        r = engine.sub(
+            self._color_rhs[color],
+            engine.matvec(self._color_mat[color], x, resident=True),
+        )
         new_rows = engine.scale_add(
             x[..., rows], self.omega, r / self._color_diag[color]
         )

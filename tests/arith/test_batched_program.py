@@ -122,26 +122,6 @@ class TestLaneGroupCaptureReplay:
         assert np.all(prog.ledger.energy > energy_after_capture)
         _assert_ledgers_equal(prog, oracle)
 
-    def test_invalidate_program_forces_re_record(self, mode, fmt32, rng):
-        prog, oracle = _pair(mode, fmt32)
-        mat = rng.uniform(-0.05, 0.05, (DIM, DIM))
-        X = rng.uniform(-2.0, 2.0, (LANES, DIM))
-        D = rng.uniform(-1.0, 1.0, (LANES, DIM))
-        prog.begin_iteration({"X": X, "D": D})
-        _iteration(prog, X, D, mat)
-        prog.end_iteration()
-        _iteration(oracle, X, D, mat)
-
-        prog.invalidate_program()
-        assert prog.program is None
-        assert prog.begin_iteration({"X": X, "D": D}) == "record"
-        got = _iteration(prog, X, D, mat)
-        assert prog.end_iteration() == ("captured", None)
-        want = _iteration(oracle, X, D, mat)
-        np.testing.assert_array_equal(got, want)
-        _assert_ledgers_equal(prog, oracle)
-        assert prog.program_captures == 2
-
     def test_structure_change_bails_to_interpreted(self, mode, fmt32, rng):
         """An op sequence diverging from the program falls back to the
         interpreted path mid-iteration, drops the program, and still

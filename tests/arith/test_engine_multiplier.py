@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arith.engine import ApproxEngine, EnergyLedger, ResidentMatrix
+from repro.arith.engine import ApproxEngine, EnergyLedger
 from repro.arith.fixed import FixedPointFormat
 
 
@@ -83,10 +83,10 @@ class TestApproximateMul:
         assert np.array_equal(out, np.zeros(2))
 
     def test_overflowing_product_still_clamps(self, bank32, fmt):
-        """A pinned operand's product past ``max_value`` still
-        saturates, and an in-range lane is untouched."""
+        """A product past ``max_value`` still saturates, and an
+        in-range lane is untouched."""
         eng = ApproxEngine(bank32.accurate, fmt, approximate_multiplier=True)
-        big = ResidentMatrix(np.array([30000.0, 4.0]))
+        big = np.array([30000.0, 4.0])
         out = eng.mul(big, big)
         assert out[0] == pytest.approx(fmt.max_value, rel=1e-6)
         assert out[1] == pytest.approx(16.0, rel=1e-3)

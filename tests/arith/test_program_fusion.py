@@ -1,6 +1,6 @@
 """Fused-replay parity: the program executor's fast paths (in-range
-product-encode-reduce, deferred-negation sub, fused scale-add, chain
-speculation) against the interpreted oracle.
+product-encode-reduce, deferred-negation sub, fused scale-add) against
+the interpreted oracle.
 
 The capture/replay contract is *bit-identical words and float-equal
 ledgers* — the fused paths are admissible only because each carries an
@@ -10,11 +10,16 @@ These tests run full solves on the one kernel set and compare against
 itself contract-checked against the reference engine elsewhere.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.apps.gmm import GaussianMixtureEM
 from repro.backends import KERNELS, resolve_backend_name
 from repro.core.framework import ApproxIt
+from repro.data.registry import load_dataset
+from repro.obs import TraceRecorder
 from repro.solvers.linear import JacobiSolver
 
 #: The one kernel set, its test ids tagged with the kernels' name.
@@ -45,26 +50,28 @@ def _assert_run_parity(fused, oracle):
     assert fused.energy_by_mode == oracle.energy_by_mode
 
 
-def _fused_vs_interpreted(strategy, kernels, monkeypatch):
+def _fused_vs_interpreted(strategy, kernels, monkeypatch, framework=None, observer=None):
     """Solve once with program replay and once interpreted, assert
-    parity, and return how many fused kernels of ``kernels`` the replayed
-    solve called.  The interpreted oracle must call none, or the parity
-    would compare a fused path with itself."""
-    calls = []
+    parity, and count the fused kernels of ``kernels`` the replayed
+    solve called, by kernel name.  The interpreted oracle must call
+    none, or the parity would compare a fused path with itself."""
+    calls = Counter()
+    owners = []
     for name in FUSED_KERNELS:
         orig = getattr(type(kernels), name)
 
-        def spy(self, *args, _orig=orig, **kwargs):
-            calls.append(self)
+        def spy(self, *args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            owners.append(self)
             return _orig(self, *args, **kwargs)
 
         monkeypatch.setattr(type(kernels), name, spy)
-    framework = _jacobi()
-    fused = framework.run(strategy=strategy)
-    n_fused = len(calls)
+    framework = _jacobi() if framework is None else framework
+    fused = framework.run(strategy=strategy, observer=observer)
+    n_fused = Counter(calls)
     oracle = framework.run(strategy=strategy, program_capture=False)
-    assert len(calls) == n_fused, "the interpreted oracle called a fused kernel"
-    assert all(backend is kernels for backend in calls)
+    assert calls == n_fused, "the interpreted oracle called a fused kernel"
+    assert all(backend is kernels for backend in owners)
     _assert_run_parity(fused, oracle)
     return n_fused
 
@@ -73,10 +80,31 @@ def _fused_vs_interpreted(strategy, kernels, monkeypatch):
 def test_jacobi_exact_mode_fused_replay_matches_interpreted(kernels, monkeypatch):
     """``static:acc`` is where every fused path fires: the exact adder
     admits the matvec product-reduce, the residual sub's in-range
-    shortcut, the scale-add encode fusion and the matvec→sub chain
-    speculation.  One full solve must be bit-identical to the
-    interpreted oracle anyway."""
-    assert _fused_vs_interpreted("static:acc", kernels, monkeypatch) > 0
+    shortcut and the scale-add encode fusion.  Replay resolves the raw
+    constant matrix by identity to the ``abs_max`` it proved at compile
+    time, so every replayed iteration fuses its matvec.  One full solve
+    must be bit-identical to the interpreted oracle anyway."""
+    recorder = TraceRecorder(label="fusion")
+    calls = _fused_vs_interpreted(
+        "static:acc", kernels, monkeypatch, observer=recorder
+    )
+    replays = recorder.metrics.counters["program.replays"]
+    assert replays > 0
+    assert calls["product_reduce_words"] == replays
+
+
+@KERNEL_SET
+def test_gmm_exact_mode_fuses_every_component_sum(kernels, monkeypatch):
+    """GMM hands its raw data points to ``weighted_sum`` once per
+    component; every replayed ``static:acc`` M-step fuses all k."""
+    framework = ApproxIt(GaussianMixtureEM.from_dataset(load_dataset("3cluster")))
+    recorder = TraceRecorder(label="fusion")
+    calls = _fused_vs_interpreted(
+        "static:acc", kernels, monkeypatch, framework, observer=recorder
+    )
+    replays = recorder.metrics.counters["program.replays"]
+    assert replays > 0
+    assert calls["product_reduce_words"] == framework.method.n_clusters * replays
 
 
 @KERNEL_SET
@@ -93,8 +121,8 @@ def test_jacobi_incremental_fused_replay_matches_interpreted(kernels, monkeypatc
 
 
 def test_repeated_replay_is_deterministic():
-    """Speculation memoization and reused encode buffers must not leak
-    state between runs: three consecutive solves agree bit-for-bit."""
+    """Reused encode buffers must not leak state between runs: three
+    consecutive solves agree bit-for-bit."""
     framework = _jacobi()
     runs = [framework.run(strategy="static:acc") for _ in range(3)]
     for run in runs[1:]:

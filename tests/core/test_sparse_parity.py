@@ -5,10 +5,9 @@ The sparse datapath (:class:`~repro.arith.SparseResidentMatrix` through
 contract, not approximate: bit-identical iterates
 (``assert_array_equal``, no tolerance) and energy ledgers equal as
 floats against :class:`~repro.arith.reference.ReferenceEngine`'s
-per-length trees, through every fast layer — pinned operands,
-iteration-program capture/replay (including the fused
-``csr_matvec_words`` backend route and its nnz-saturation bailout),
-and the batched lane engine.
+per-length trees, through every fast layer — iteration-program
+capture/replay (including the fused ``csr_matvec_words`` backend route
+and its nnz-saturation bailout) and the batched lane engine.
 
 Three tiers of evidence:
 
@@ -124,14 +123,16 @@ def test_sparse_jacobi_matches_dense_at_exact_mode():
 
 
 def test_batched_sparse_lanes_match_solo_runs():
-    """The batched lane engine over a shared CSR operand: every lane
-    bit-identical and ledger-equal to its solo run (sparse capture and
-    replay included — the batch runs the lane-group program path)."""
+    """The batched lane engine over a shared CSR operand (Jacobi's
+    system matrix, least squares' design): every lane bit-identical and
+    ledger-equal to its solo run (sparse capture and replay included —
+    the batch runs the lane-group program path)."""
     specs = ["incremental", "truth", "static:level2", "adaptive"]
-    framework = _sparse_jacobi()
-    batch = framework.run_batch(list(specs))
-    for spec, batch_run in zip(specs, batch):
-        _assert_runs_equal(batch_run, framework.run(strategy=spec))
+    for workload in ("jacobi-csr", "lsq-csr"):
+        framework = FACTORIES[workload]()
+        batch = framework.run_batch(list(specs))
+        for spec, batch_run in zip(specs, batch):
+            _assert_runs_equal(batch_run, framework.run(strategy=spec))
 
 
 class _ChargeLog:

@@ -35,10 +35,8 @@ from repro.solvers.batched import (
     _BatchedGaussSeidel,
     _BatchedGD,
     _BatchedGmm,
-    _BatchedJacobi,
-    _BatchedLeastSquares,
-    _BatchedRedBlack,
     _BatchedSor,
+    _Passthrough,
 )
 from repro.solvers.functions import ObjectiveFunction
 
@@ -79,7 +77,7 @@ class TestSupportsBatching:
         method = AutoRegression.from_dataset(load_dataset("hangseng"))
         assert supports_batching(method)
         kernels = batched_kernels_for(method, 4)
-        assert isinstance(kernels, _BatchedLeastSquares)
+        assert isinstance(kernels, _Passthrough)
 
     def test_triangular_solve_splittings_admitted(self):
         """GS/SOR batch via a per-lane exact triangular solve on the
@@ -97,7 +95,7 @@ class TestSupportsBatching:
         assert supports_batching(RedBlackGaussSeidelSolver(A, b))
         assert supports_batching(RedBlackSorSolver(A, b))
         kernels = batched_kernels_for(RedBlackGaussSeidelSolver(A, b), 4)
-        assert isinstance(kernels, _BatchedRedBlack)
+        assert isinstance(kernels, _Passthrough)
         assert kernels.replayable
 
     def test_momentum_refused(self):
@@ -229,7 +227,7 @@ class TestAdapterConstruction:
     def test_registry_picks_the_matching_adapter(self):
         A, b = _spd()
         assert isinstance(
-            batched_kernels_for(JacobiSolver(A, b), 3), _BatchedJacobi
+            batched_kernels_for(JacobiSolver(A, b), 3), _Passthrough
         )
         assert isinstance(
             batched_kernels_for(ConjugateGradient(A, b), 3), _BatchedCG
