@@ -17,7 +17,8 @@ bought with numerical drift.
 
 The approximate modes cannot fuse (their adders are not exact), so
 ``sparse/approx_matvec_pagerank100k`` gates the path they run: one
-interpreted level-synchronous CSR matvec at ``level2``.
+interpreted CSR matvec at ``level2``, whose level-ordered fold adds
+each tree level's two contiguous halves in L2-sized chunks.
 
 The replay entry's gated ``speedup`` is measured on the datapath
 iteration itself
@@ -30,6 +31,9 @@ web scale that shared exact work is a visible fraction of the replayed
 iteration.
 """
 
+import resource
+import statistics
+
 import numpy as np
 
 from repro.apps.pagerank import PageRank
@@ -37,6 +41,34 @@ from repro.arith.engine import ApproxEngine, EnergyLedger
 from repro.arith.program import ProgramEngine
 from repro.arith.reference import ReferenceEngine
 from repro.core.framework import ApproxIt
+from repro.obs.observer import Observer
+
+
+class _FaultLog(Observer):
+    """Minor page faults (``ru_minflt``) between iteration events, with
+    each iteration's execution (``captured`` / ``replayed``)."""
+
+    def __init__(self):
+        super().__init__()
+        self.iterations = []
+        self._last = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    def record(self, event):
+        if event.kind == "iteration":
+            now = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            self.iterations.append((event.detail.get("execution"), now - self._last))
+            self._last = now
+
+
+def _replay_faults(framework, strategy):
+    """``(median faults per replayed iteration, faults per iteration of
+    the whole run)`` of one run after a warm-up run."""
+    framework.run(strategy=strategy)
+    log = _FaultLog()
+    framework.run(strategy=strategy, observer=log)
+    replays = [n for execution, n in log.iterations if execution == "replayed"]
+    total = sum(n for _, n in log.iterations)
+    return statistics.median(replays), total / len(log.iterations)
 
 
 def _assert_exact_parity(a, b):
@@ -101,6 +133,13 @@ def test_replay_pagerank100k(perf, reference_run):
     t_legacy_mv = perf.time(legacy_matvec, repeats=5)
     speedup = t_legacy_mv / t_replay_mv
 
+    # --- replayed iterations allocate nothing that page-faults --------
+    # The CSR matvec reuses its row plan's buffers, so a replayed
+    # iteration faults in no fresh pages (ROADMAP item 2: <= 100); the
+    # whole-run figure also counts the capture and the fused route's
+    # first-replay buffers.
+    faults = {s: _replay_faults(framework, f"static:{s}") for s in ("level2", "acc")}
+
     # --- supplementary: full solver runs through the same layers -----
     t_replay_run, t_legacy_run = perf.time_pair(
         lambda: framework.run(strategy="static:acc"),
@@ -119,8 +158,12 @@ def test_replay_pagerank100k(perf, reference_run):
         legacy_run_s=round(t_legacy_run, 4),
         run_speedup=round(t_legacy_run / t_replay_run, 2),
         speedup=round(speedup, 2),
+        **{f"replay_minflt_{s}": replay for s, (replay, _) in faults.items()},
+        **{f"run_minflt_per_iter_{s}": round(run, 1) for s, (_, run) in faults.items()},
     )
     assert speedup > 1.0
+    for s, (replay, _) in faults.items():
+        assert replay <= 100, f"static:{s} replayed iteration took {replay} minor faults"
 
 
 def test_approx_matvec_pagerank100k(perf):
@@ -128,10 +171,11 @@ def test_approx_matvec_pagerank100k(perf):
 
     ``level2``'s adder is approximate, so no in-range proof fuses this
     matvec: every characterization probe, capture and replay of an
-    approximate mode runs the level-synchronous reduce (one adder call
-    per tree level across all rows).  One interpreted ``ApproxEngine``
-    call against one reference engine call on the 100k-node web, after
-    words and ledger parity, timed in alternation."""
+    approximate mode runs the level-ordered reduce (per tree level, one
+    gather and the two contiguous halves added in L2-sized adder calls
+    across all rows).  One interpreted ``ApproxEngine`` call against one
+    reference engine call on the 100k-node web, after words and ledger
+    parity, timed in alternation."""
     app = PageRank.random_web_csr(n_nodes=100_000, seed=11, out_degree=8.0)
     framework = ApproxIt(app)
     sp = app._link
@@ -143,6 +187,18 @@ def test_approx_matvec_pagerank100k(perf):
     np.testing.assert_array_equal(engine.matvec(sp, vec), twin.matvec(sp, vec))
     assert engine.ledger == twin.ledger
 
+    sizes = []
+
+    class _CountingKernels(type(engine.backend)):
+        def add_signed(self, adder, qa, qb):
+            sizes.append(qa.size)
+            return super().add_signed(adder, qa, qb)
+
+    counted = ApproxEngine(mode, framework.fmt, EnergyLedger())
+    counted.backend = _CountingKernels()
+    counted.matvec(sp, vec)
+    assert sum(sizes) == counted.ledger.adds
+
     t_engine, t_twin = perf.time_pair(
         lambda: engine.matvec(sp, vec), lambda: twin.matvec(sp, vec), repeats=7
     )
@@ -151,7 +207,8 @@ def test_approx_matvec_pagerank100k(perf):
         "sparse/approx_matvec_pagerank100k",
         nodes=sp.shape[0],
         nnz=sp.nnz,
-        adder_calls=len(sp.row_plan().levels),
+        tree_levels=len(sp.row_plan().levels),
+        adder_calls=len(sizes),
         engine_matvec_ms=round(t_engine * 1e3, 3),
         reference_matvec_ms=round(t_twin * 1e3, 3),
         speedup=round(speedup, 2),

@@ -64,8 +64,9 @@ REQUIRED_ENTRIES = (
 #: sparse/dense pair promises that routing the same system through CSR
 #: instead of the dense resident path is a strict win, not a wash.
 #: The approximate-mode CSR matvec (no fusion proof applies) must run at
-#: least 2x the reference engine's per-length trees: one adder call per
-#: tree level across all rows, not one per nnz length and level.
+#: least 3x the reference engine's per-length trees: each tree level is
+#: one gather whose two contiguous halves are added across all rows in
+#: L2-sized adder calls, into buffers the row plan reuses.
 ENTRY_FLOORS = {
     "e2e/replay_jacobi80": 2.0,
     "e2e/replay_jacobi240": 5.0,
@@ -74,7 +75,7 @@ ENTRY_FLOORS = {
     "batched/replay_gmm_b16": 1.6,
     "sparse/jacobi240_vs_dense": 1.3,
     "sparse/replay_pagerank100k": 10.0,
-    "sparse/approx_matvec_pagerank100k": 2.0,
+    "sparse/approx_matvec_pagerank100k": 3.0,
 }
 
 

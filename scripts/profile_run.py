@@ -12,9 +12,10 @@ With ``--batch-size B`` (B >= 1) the profiled region is one
 the ``batched/replay_*`` benchmarks time; the default 0 profiles the
 solo ``run`` loop.  The offline characterization is warmed (and one
 full run executed) before profiling, so the numbers describe the
-steady-state iteration loop.  The CI perf-smoke job uploads the
-``--out`` dump next to ``BENCH_perf.json``; load it locally with
-``python -m pstats profile.pstats`` to attribute an end-to-end
+steady-state iteration loop; ``--sparse`` also prints the minor page
+faults per iteration of one unprofiled run.  The CI perf-smoke job
+uploads the ``--out`` dump next to ``BENCH_perf.json``; load it locally
+with ``python -m pstats profile.pstats`` to attribute an end-to-end
 regression to the call site that caused it.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import resource
 import sys
 from pathlib import Path
 
@@ -200,6 +202,16 @@ def main(argv: list[str] | None = None) -> int:
         f"capture={'on' if capture else 'off'}: {run.iterations} iterations, "
         f"{run.rollbacks} rollbacks, energy {run.energy:.3g}"
     )
+    if args.sparse:
+        # Web-scale temporaries that page-fault every call show here
+        # (counted over one unprofiled run after the warm-up above).
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run = profiled()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        print(
+            f"minor page faults: {faults / run.iterations:.1f} per iteration "
+            f"({faults} over {run.iterations} iterations)"
+        )
 
     profiler = cProfile.Profile()
     profiler.enable()

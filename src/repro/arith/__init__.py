@@ -12,7 +12,8 @@ methods in :mod:`repro.solvers` / :mod:`repro.apps`:
 * :class:`ResidentVector` — fixed-point words kept resident between
   chained engine kernels (pass ``resident=True`` to any kernel);
 * :class:`SparseResidentMatrix` / :class:`SparseReductionPlan` — the
-  CSR sparse operand and its level-synchronous per-row reduce: matvec /
+  CSR sparse operand and its level-ordered per-row reduce (each tree
+  level adds two contiguous halves in L2-sized chunks): matvec /
   weighted_sum accumulate each output row's own nnz products through
   the approximate adder (``nnz_i - 1`` adds per row);
 * :class:`BatchedEngine` / :class:`LaneStack` /

@@ -123,59 +123,93 @@ class ResidentVector:
         return f"ResidentVector(shape={self.words.shape}, fmt={self.fmt.describe()})"
 
 
-class SparseReductionPlan:
-    """Level-synchronous tree-reduce schedule over every CSR row at once.
+#: Words per adder call in :func:`_reduce_csr_rows`: two 128 KiB operand
+#: chunks and their sum stay inside a 2 MiB L2.  A lane stack splits it
+#: across its lanes.
+_FOLD_CHUNK = 16384
 
-    Pure CSR geometry, engine-independent.  Each row folds its balanced
-    tree in place at its own CSR positions: at each level a row of
-    current length ``L`` adds ``start + L//2 + j`` into ``start + j``
-    (``j < L//2``) and, when ``L`` is odd, moves its tail ``start +
-    2*(L//2)`` to ``start + L//2`` — the ``(half, odd)`` walk of
-    :func:`~repro.hardware.bitops.reduction_levels`, with one adder call
-    per level across all rows (:func:`_reduce_csr_rows`).
+
+class SparseReductionPlan:
+    """Level-ordered tree-reduce schedule over every CSR row at once.
+
+    Pure CSR geometry, engine-independent.  Each level gathers its live
+    words into one buffer laid out as ``[every row's first half | every
+    row's second half, same row order | odd-length rows' tails]``, so
+    its ``H`` pairs are the two contiguous halves ``buf[:H]`` and
+    ``buf[H:2H]`` and the sums land in ``buf[:H]``, each row's run in
+    row order — the ``(half, odd)`` walk of
+    :func:`~repro.hardware.bitops.reduction_levels` for every row at
+    once (:func:`_reduce_csr_rows`).  Level 0 gathers from the
+    CSR-ordered products, each later level from the one before.
 
     Attributes:
-        n_rows: number of matrix rows (empty rows included).
-        levels: per tree level, the ``(a, b, tail_src, tail_dst)``
-            ``intp`` position arrays.
-        heads / head_rows: first position of every non-empty row (its
-            sum after the last level) and those rows; empty rows emit
-            the zero word.
+        n_rows / nnz: number of matrix rows (empty rows included) and
+            stored entries.
+        levels: per tree level, ``(gather, H, rows, pos)``: the ``intp``
+            map into the previous buffer, the pair count, and the rows
+            whose sum the level finishes with its ``buf`` positions.
+        single_rows / single_pos: one-entry rows and their CSR
+            positions, read out directly; empty rows emit the zero word.
         counts: add counts in ledger order — nnz lengths ascending,
             each length's levels root-ward, ``half`` times its rows.
     """
 
-    __slots__ = ("n_rows", "levels", "heads", "head_rows", "counts")
+    __slots__ = ("n_rows", "nnz", "levels", "single_rows", "single_pos", "counts", "_scratch")
 
     def __init__(self, indptr: np.ndarray):
         # intp: NumPy converts any other index dtype on every use.
         indptr = np.asarray(indptr, dtype=np.intp)
         self.n_rows = int(indptr.size - 1)
+        self.nnz = int(indptr[-1])
+        self._scratch = None
         lengths = np.diff(indptr)
-        self.head_rows = np.flatnonzero(lengths)
-        self.heads = indptr[self.head_rows]
-        nnz, rows = np.unique(lengths[self.head_rows], return_counts=True)
+        nnz, rows = np.unique(lengths[lengths > 0], return_counts=True)
         self.counts = tuple(
             half * int(g)
             for length, g in zip(nnz.tolist(), rows)
             for half, _odd in bitops.reduction_levels(length)
         )
+        self.single_rows = np.flatnonzero(lengths == 1)
+        self.single_pos = indptr[self.single_rows]
+        # Each live row's words 0..L-2 sit at start + k in the source
+        # buffer and its word L-1 at last (contiguous at level 0; later
+        # the sums run, then the carried tail).
+        rows = np.flatnonzero(lengths > 1)
+        start, cur = indptr[rows], lengths[rows]
+        last = start + cur - 1
         levels = []
-        live = lengths > 1
-        start, cur = indptr[:-1][live], lengths[live]
-        while cur.size:
-            half = cur // 2
-            # Pair j of a row sits at start + j: one arange over all
-            # pairs, shifted per row by start minus the pairs before it.
-            shift = np.repeat(start - (np.cumsum(half) - half), half)
-            a = np.arange(int(half.sum()), dtype=np.intp) + shift
-            odd = (cur & 1).astype(bool)
-            tails = (start[odd] + 2 * half[odd], start[odd] + half[odd])
-            levels.append((a, a + np.repeat(half, half)) + tails)
+        while rows.size:
+            half, odd = cur // 2, (cur & 1).astype(bool)
+            ends = np.cumsum(half)
+            n_pairs = int(ends[-1])
+            gather = np.empty(2 * n_pairs + int(odd.sum()), dtype=np.intp)
+            first, second = gather[:n_pairs], gather[n_pairs : 2 * n_pairs]
+            first[:] = np.arange(n_pairs, dtype=np.intp)
+            first += np.repeat(start - (ends - half), half)
+            np.add(first, np.repeat(half, half), out=second)
+            second[ends[~odd] - 1] = last[~odd]
+            gather[2 * n_pairs :] = last[odd]
+            start = ends - half
+            last = np.where(odd, 2 * n_pairs + np.cumsum(odd) - 1, ends - 1)
             cur = cur - half
-            live = cur > 1
-            start, cur = start[live], cur[live]
+            done = cur == 1
+            levels.append((gather, n_pairs, rows[done], start[done]))
+            rows, start, cur, last = rows[~done], start[~done], cur[~done], last[~done]
         self.levels = tuple(levels)
+
+    def scratch(self, lanes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat ``int64`` buffers for a ``lanes``-row stack (1 solo),
+        reused across calls, so one plan serves one call at a time: the
+        encoded products and the fold's even- and odd-level words.
+        Fresh nnz-sized arrays would page-fault whenever the allocator
+        has handed their pages back.  Sized for the widest stack seen."""
+        if self._scratch is None or self._scratch[0] < lanes:
+            sizes = [gather.size for gather, *_ in self.levels]
+            self._scratch = (lanes,) + tuple(
+                np.empty(lanes * size, dtype=np.int64)
+                for size in (self.nnz, max(sizes[0::2], default=0), max(sizes[1::2], default=0))
+            )
+        return self._scratch[1:]
 
 
 class SparseResidentMatrix:
@@ -187,11 +221,12 @@ class SparseResidentMatrix:
     or single-entry rows.  ``abs_max`` is ``max(|data|)``, so the
     product bound ``abs_max * max|x|`` covers every stored product: it
     proves the product encode finite from an ``O(n)`` scan of ``x``
-    (:func:`_trusted_product`), and replay's fused-reduction proof
+    (:func:`_csr_product_words`), and replay's fused-reduction proof
     specializes the dense ``n`` to ``nnz_max``.
 
     The arrays are treated as immutable after construction; the row
-    plan and the transpose are built lazily and cached on the instance.
+    plan (with its reused buffers) and the transpose are built lazily
+    and cached on the instance.
 
     Attributes:
         data: nnz float64 values.
@@ -495,54 +530,73 @@ class EnergyLedger:
 
 
 def _reduce_csr_rows(engine, plan: SparseReductionPlan, q: np.ndarray) -> np.ndarray:
-    """Reduce every CSR row's tree in place, one adder call per level.
+    """Reduce every CSR row's tree, level by level, in L2-sized chunks.
 
     ``q`` holds the encoded products at their CSR positions on its last
-    axis (``(nnz,)`` solo, ``(B, nnz)`` lane-stacked) and is overwritten.
-    The adder and the saturating output stage are elementwise, so the
-    words equal each row's own tree walk whichever rows share a call;
-    the precheck runs once per level so a recording program engine logs
-    it.  Charges nothing: interpreted engines charge ``plan.counts``,
-    replay steps their recorded charges.  Returns ``(..., n_rows)``.
+    axis (``(nnz,)`` solo, ``(B, nnz)`` lane-stacked).  Each level is
+    one gather, then ``buf[:H] += buf[H:2H]`` through the adder in
+    :data:`_FOLD_CHUNK`-word calls, each with its own saturation
+    precheck (logged by a recording program engine), then the finished
+    rows' read-out.  The adder and the saturating output stage are
+    elementwise, so the words equal each row's own tree walk whichever
+    pairs share a call.  Charges nothing: interpreted engines charge
+    ``plan.counts``, replay steps their recorded charges.  Returns
+    ``(..., n_rows)``.
     """
     adder, add_signed = engine.mode.adder, engine.backend.add_signed
     saturating = engine.fmt.overflow == "saturate"
     lo, hi = engine._signed_lo, engine._signed_hi
-    lane_axis = () if q.ndim == 1 else (0,)
-    for a_pos, b_pos, tail_src, tail_dst in plan.levels:
-        qa = q[..., a_pos]
-        qb = q[..., b_pos]
-        sums = add_signed(adder, qa, qb)
-        if saturating and engine._saturation_needed(qa, qb, None, None, *lane_axis):
-            true = qa + qb
-            overflowed = (true < lo) | (true > hi)
-            if np.any(overflowed):
-                sums = np.where(overflowed, np.clip(true, lo, hi), sums)
-        q[..., a_pos] = sums
-        q[..., tail_dst] = q[..., tail_src]
-    out = np.zeros(q.shape[:-1] + (plan.n_rows,), dtype=np.int64)
-    out[..., plan.head_rows] = q[..., plan.heads]
+    lead = q.shape[:-1]
+    lanes = lead[0] if lead else 1
+    lane_axis = (0,) if lead else ()
+    step = max(1, _FOLD_CHUNK // lanes)
+    out = np.zeros(lead + (plan.n_rows,), dtype=np.int64)
+    out[..., plan.single_rows] = q[..., plan.single_pos]
+    bufs = plan.scratch(lanes)[1:]
+    for level, (gather, half, rows, pos) in enumerate(plan.levels):
+        buf = bufs[level % 2][: lanes * gather.size].reshape(lead + gather.shape)
+        # mode="clip" (a no-op on valid maps) lets take write out unbuffered.
+        q = np.take(q, gather, axis=-1, out=buf, mode="clip")
+        for c in range(0, half, step):
+            e = min(c + step, half)
+            qa, qb = q[..., c:e], q[..., half + c : half + e]
+            sums = add_signed(adder, qa, qb)
+            if saturating and engine._saturation_needed(qa, qb, None, None, *lane_axis):
+                true = qa + qb
+                overflowed = (true < lo) | (true > hi)
+                if np.any(overflowed):
+                    sums = np.where(overflowed, np.clip(true, lo, hi), sums)
+            q[..., c:e] = sums
+        out[..., rows] = q[..., pos]
     return out
 
 
-def _trusted_product(constant, varying: np.ndarray) -> bool:
-    """Whether ``constant * varying`` is provably finite.
+def _csr_product_words(engine, sp: SparseResidentMatrix, x: np.ndarray) -> np.ndarray:
+    """The encoded products ``sp.data * x[..., sp.indices]``, CSR order.
 
-    ``constant`` is a :class:`SparseResidentMatrix` carrying
-    ``abs_max``; ``varying`` is scanned once (``O(n)`` instead of the
-    product's ``O(nnz)``), and a non-finite iterate raises the same
-    error the checked encode would.  A product of two finite maxima can still overflow to
-    ``inf``, so the proof also requires the bound itself to be finite —
-    otherwise the caller falls back to the checked encode.  For a lane
-    stack the bound is global, which is sound per lane; the emitted
-    words are identical with or without the trust.
+    ``x`` is ``(n,)`` solo or ``(B, n)`` lane-stacked.  An ``O(n)`` scan
+    of ``x`` replaces the encode's ``O(nnz)`` finiteness scan: a
+    non-finite ``x`` raises the checked encode's error, and a finite
+    bound ``abs_max * max|x|`` proves every product finite (global for
+    a lane stack, which is sound per lane).  The words are identical
+    with or without the trust.  Products and encode run in
+    :data:`_FOLD_CHUNK`-word blocks, so no nnz-sized temporary is
+    allocated, into the row plan's reused words buffer: the result is a
+    view of it, valid until the next call on that plan.
     """
-    if varying.size == 0:
-        return True
-    if not np.all(np.isfinite(varying)):
-        raise ValueError("cannot encode non-finite values into fixed point")
-    bound = constant.abs_max * float(np.abs(varying).max())
-    return bool(np.isfinite(bound))
+    trusted = True
+    if x.size:
+        if not np.all(np.isfinite(x)):
+            raise ValueError("cannot encode non-finite values into fixed point")
+        trusted = bool(np.isfinite(sp.abs_max * float(np.abs(x).max())))
+    lanes = x.shape[0] if x.ndim == 2 else 1
+    words = sp.row_plan().scratch(lanes)[0][: lanes * sp.nnz].reshape(x.shape[:-1] + (sp.nnz,))
+    step = max(1, _FOLD_CHUNK // lanes)
+    for c in range(0, sp.nnz, step):
+        products = np.take(x, sp.indices[c : c + step], axis=-1)
+        products *= sp.data[c : c + step]
+        words[..., c : c + step] = engine.fmt.encode(products, assume_finite=trusted)
+    return words
 
 
 class ApproxEngine:
@@ -747,21 +801,18 @@ class ApproxEngine:
         return self._emit(out, resident)
 
     def sub(self, a, b, *, resident: bool = False):
-        """Elementwise ``a - b`` (negation is free in two's complement)."""
-        if isinstance(b, ResidentVector):
-            self._check_fmt(b)
-            neg = self.fmt.handle_overflow(-b.words)
-            bounds = b.bounds()
-            if bounds is not None and bounds[0] > self._signed_lo:
-                # Negation flips the range; only the most-negative word
-                # needs the overflow policy, so bounds stay exact here.
-                bounds = (-bounds[1], -bounds[0])
-            else:
-                bounds = None
-            return self.add(
-                a, ResidentVector(neg, self.fmt, bounds), resident=resident
-            )
-        return self.add(a, -np.asarray(b, dtype=np.float64), resident=resident)
+        """Elementwise ``a - b``: the subtrahend is encoded, then its word
+        negated (free in two's complement), so a float and its resident
+        words subtract alike."""
+        qb, bounds = self._coerce(b)
+        neg = self.fmt.handle_overflow(-qb)
+        if bounds is not None and bounds[0] > self._signed_lo:
+            # Negation flips the range; only the most-negative word
+            # needs the overflow policy, so bounds stay exact here.
+            bounds = (-bounds[1], -bounds[0])
+        else:
+            bounds = None
+        return self.add(a, ResidentVector(neg, self.fmt, bounds), resident=resident)
 
     def scale_add(self, x, alpha: float, d, *, resident: bool = False):
         """The iterative-method update rule ``x + alpha * d`` (Eq. 2).
@@ -817,17 +868,14 @@ class ApproxEngine:
         """``sp @ vec`` as fixed-point words: exact nnz products, then
         one approximate tree-reduce per row over its own segment.
 
-        Every row's tree folds in place through :func:`_reduce_csr_rows`,
-        one adder call per tree level across all rows; the charges
+        Every row's tree folds through :func:`_reduce_csr_rows`, each
+        tree level across all rows in L2-sized adder calls; the charges
         follow in the row plan's ledger order (ascending nnz length,
         levels root-ward).  Empty rows emit the zero word without
         touching the adder.
         """
-        products = sp.data * vec[sp.indices]
-        trusted = _trusted_product(sp, vec)
-        q = self.fmt.encode(products, assume_finite=trusted)
         plan = sp.row_plan()
-        out = _reduce_csr_rows(self, plan, q)
+        out = _reduce_csr_rows(self, plan, _csr_product_words(self, sp, vec))
         for n in plan.counts:
             self._charge(self.mode.name, n, self.mode.energy_per_add)
         return out
@@ -1389,29 +1437,22 @@ class BatchedEngine:
         return self._emit(out, resident)
 
     def sub(self, a, b, *, resident: bool = False):
-        """Elementwise ``a - b`` per lane (two's-complement negation)."""
+        """Elementwise ``a - b`` per lane: as in the solo engine, every
+        subtrahend form is encoded, then its words negated."""
+        qb, bounds = self._coerce(b)
+        neg = self.fmt.handle_overflow(-qb)
         if isinstance(b, LaneStack):
-            self._check_fmt(b)
-            neg = self.fmt.handle_overflow(-b.words)
-            bounds = b.lane_bounds()
             lo = hi = None
             if bounds is not None and bool(np.all(bounds[0] > self._signed_lo)):
                 lo, hi = -bounds[1], -bounds[0]
             return self.add(
                 a, LaneStack(neg, self.fmt, lo=lo, hi=hi), resident=resident
             )
-        if isinstance(b, ResidentVector):
-            self._check_fmt(b)
-            neg = self.fmt.handle_overflow(-b.words)
-            bounds = b.bounds()
-            if bounds is not None and bounds[0] > self._signed_lo:
-                bounds = (-bounds[1], -bounds[0])
-            else:
-                bounds = None
-            return self.add(
-                a, ResidentVector(neg, self.fmt, bounds), resident=resident
-            )
-        return self.add(a, -np.asarray(b, dtype=np.float64), resident=resident)
+        if bounds is not None and bounds[0] > self._signed_lo:
+            bounds = (-bounds[1], -bounds[0])
+        else:
+            bounds = None
+        return self.add(a, ResidentVector(neg, self.fmt, bounds), resident=resident)
 
     def scale_add(self, x, alpha, d, *, resident: bool = False):
         """Per-lane update rule ``x + alpha * d``.
@@ -1477,16 +1518,13 @@ class BatchedEngine:
     ) -> np.ndarray:
         """Lane-stacked ``sp @ xs[lane]`` as words: the batched twin of
         :meth:`ApproxEngine._sparse_matvec_words`.  The ``(B, nnz)``
-        product stack folds through the same :func:`_reduce_csr_rows`,
-        so every lane slice walks the identical trees — and draws the
-        identical charges, per selected lane — as a solo engine on that
-        lane."""
+        product stack folds through the same :func:`_reduce_csr_rows`
+        (each adder call spanning every lane), so every lane slice walks
+        the identical trees — and draws the identical charges, per
+        selected lane — as a solo engine on that lane."""
         self._check_lanes(xs.shape[0])
-        products = sp.data[np.newaxis, :] * xs[:, sp.indices]
-        trusted = _trusted_product(sp, xs)
-        q = self.fmt.encode(products, assume_finite=trusted)
         plan = sp.row_plan()
-        out = _reduce_csr_rows(self, plan, q)
+        out = _reduce_csr_rows(self, plan, _csr_product_words(self, sp, xs))
         for n in plan.counts:
             self._charge_lanes(self.mode.name, n, self.mode.energy_per_add)
         return out

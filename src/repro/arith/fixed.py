@@ -94,19 +94,28 @@ class FixedPointFormat:
         arr = np.asarray(values, dtype=np.float64)
         if not assume_finite and not np.all(np.isfinite(arr)):
             raise ValueError("cannot encode non-finite values into fixed point")
-        # The scaled product is a fresh temporary, so round it in place
-        # and clamp the words in place: same values, two fewer full-size
-        # allocations on the hottest datapath call.
-        scaled = arr * self.scale
-        if isinstance(scaled, np.ndarray):
-            np.rint(scaled, out=scaled)
-            q = scaled.astype(np.int64)
-        else:  # 0-d input: the product collapses to a numpy scalar
-            q = np.asarray(np.rint(scaled), dtype=np.int64)
+        scale = self.scale
+        lo, hi = bitops.signed_range(self.width)
+        # Bring every value into range in the float domain first: x·scale
+        # can overflow to inf, and a float beyond ±2**63 has no int64
+        # cast.  Clamping to [lo, hi]/scale before scaling equals
+        # clamping rint(x·scale); fmod is exact and shifts x·scale by a
+        # multiple of 2**width, which rint and the sign extension keep.
         if self.overflow == "saturate":
-            lo, hi = bitops.signed_range(self.width)
-            return np.clip(q, lo, hi, out=q)
-        return bitops.to_signed(bitops.to_unsigned(q, self.width), self.width)
+            scaled = np.clip(arr, lo / scale, hi / scale)
+        else:
+            scaled = np.fmod(arr, (1 << self.width) / scale)
+        # The clamped copy is a fresh temporary: scale and round it in
+        # place.
+        scaled = np.asarray(scaled)
+        scaled *= scale
+        np.rint(scaled, out=scaled)
+        q = scaled.astype(np.int64)
+        if self.overflow == "wrap":
+            return bitops.to_signed(bitops.to_unsigned(q, self.width), self.width)
+        if self.width > 54:  # hi rounds up to 2**(width-1) in float64
+            np.clip(q, lo, hi, out=q)
+        return q
 
     def decode(self, words: np.ndarray) -> np.ndarray:
         """Convert fixed-point words back to floats."""

@@ -67,6 +67,7 @@ from repro.arith.engine import (
     LaneStack,
     ResidentVector,
     SparseResidentMatrix,
+    _csr_product_words,
     _reduce_csr_rows,
 )
 from repro.hardware import bitops
@@ -102,6 +103,16 @@ def _is_slot(operand, arr, slots) -> bool:
         if operand is obj or arr is obj:
             return True
     return False
+
+
+def _negated_encode(fmt):
+    """``sub``'s subtrahend encode: the word is negated after encoding,
+    as the interpreted engines negate every subtrahend form."""
+
+    def encode(arr):
+        return fmt.handle_overflow(-fmt.encode(arr))
+
+    return encode
 
 
 def _word_operand(engine, operand, slots, negate=False):
@@ -152,6 +163,7 @@ def _word_operand(engine, operand, slots, negate=False):
 
         return resolve
 
+    encode = _negated_encode(fmt) if negate else fmt.encode
     arr = np.asarray(operand, dtype=np.float64)
     shape = arr.shape
     if _is_slot(operand, arr, slots):
@@ -162,12 +174,12 @@ def _word_operand(engine, operand, slots, negate=False):
             a = np.asarray(op, dtype=np.float64)
             if a.shape != shape:
                 raise ProgramBailout("shape")
-            return fmt.encode(-a if negate else a), None
+            return encode(a), None
 
         return resolve
 
     obj = operand if isinstance(operand, np.ndarray) else arr
-    words = fmt.encode(-arr if negate else arr)
+    words = encode(arr)
     bounds = (int(words.min()), int(words.max())) if words.size else None
 
     def resolve(op):
@@ -178,7 +190,7 @@ def _word_operand(engine, operand, slots, negate=False):
         a = np.asarray(op, dtype=np.float64)
         if a.shape != shape:
             raise ProgramBailout("shape")
-        return fmt.encode(-a if negate else a), None
+        return encode(a), None
 
     return resolve
 
@@ -641,27 +653,18 @@ class _DotStep:
         return float(engine.fmt.decode(reduced))
 
 
-def _trusted_encode(engine, product, varying, abs_max, strict=False):
+def _trusted_encode(engine, product, varying, abs_max):
     """Encode a const × varying product, scan-skipping when provable.
 
     With a compile-proven-finite constant, one O(n) scan of the varying
-    operand replaces the O(rows × cols) product scan.  ``strict`` (a
-    :class:`SparseResidentMatrix` operand) replicates
-    ``_trusted_product`` verbatim — including its raise on a non-finite
-    varying operand; a dense interpreted call is a checked encode, so
-    there the bound only *upgrades* provably-finite calls and every
-    other case falls back to the checked encode unchanged.
+    operand replaces the O(rows × cols) product scan.  A dense
+    interpreted call is a checked encode, so the bound only *upgrades*
+    provably-finite calls and every other case falls back to the
+    checked encode unchanged.  (A CSR operand's products encode through
+    :func:`~repro.arith.engine._csr_product_words`, as interpreted.)
     """
     if abs_max is None:
         return engine.fmt.encode(product)
-    if strict:
-        if varying.size == 0:
-            trusted = True
-        else:
-            if not np.all(np.isfinite(varying)):
-                raise ValueError(_NONFINITE_MSG)
-            trusted = bool(np.isfinite(abs_max * float(np.abs(varying).max())))
-        return engine.fmt.encode(product, assume_finite=trusted)
     if (
         product.size
         and varying.size
@@ -806,8 +809,9 @@ class _SparseMatvecStep:
     partial sum of every row's segment, licensing the fused
     single-pass :meth:`~repro.backends.base.KernelBackend.csr_matvec_words`.
     Otherwise the products fold through the interpreted engines' own
-    level-synchronous :func:`~repro.arith.engine._reduce_csr_rows`, and
-    the step keeps its recorded charges.
+    level-ordered, chunked :func:`~repro.arith.engine._reduce_csr_rows`,
+    and the step keeps its recorded charges.  A recorded ``sat`` flag is
+    the OR of that fold's per-chunk prechecks.
     """
 
     __slots__ = (
@@ -849,9 +853,7 @@ class _SparseMatvecStep:
                 sp.data, sp.indices, sp.indptr, vec, engine.fmt.scale, self.bufs
             )
             return engine._emit(out, self.resident)
-        products = sp.data * vec[sp.indices]
-        q = _trusted_encode(engine, products, vec, sp.abs_max, strict=True)
-        out = _reduce_csr_rows(engine, sp.row_plan(), q)
+        out = _reduce_csr_rows(engine, sp.row_plan(), _csr_product_words(engine, sp, vec))
         return engine._emit(out, self.resident)
 
 
@@ -1409,6 +1411,8 @@ def _b_word_operand(engine, operand, slots, lanes, negate=False):
     trail = arr.shape[1:]
     ndim = arr.ndim
 
+    encode = _negated_encode(fmt) if negate else fmt.encode
+
     def check_shape(a):
         if lane_stacked:
             if a.ndim != ndim or a.shape[1:] != trail:
@@ -1423,12 +1427,12 @@ def _b_word_operand(engine, operand, slots, lanes, negate=False):
                 raise ProgramBailout("operand")
             a = np.asarray(op, dtype=np.float64)
             check_shape(a)
-            return fmt.encode(-a if negate else a), None
+            return encode(a), None
 
         return resolve
 
     obj = operand if isinstance(operand, np.ndarray) else arr
-    words = fmt.encode(-arr if negate else arr)
+    words = encode(arr)
     bounds = (int(words.min()), int(words.max())) if words.size else None
 
     def resolve(op):
@@ -1438,7 +1442,7 @@ def _b_word_operand(engine, operand, slots, lanes, negate=False):
             raise ProgramBailout("operand")
         a = np.asarray(op, dtype=np.float64)
         check_shape(a)
-        return fmt.encode(-a if negate else a), None
+        return encode(a), None
 
     return resolve
 
@@ -1692,8 +1696,8 @@ class _BSparseMatvecStep:
     kernel over the whole stack at once; otherwise the ``(B, nnz)``
     product stack folds through
     :func:`~repro.arith.engine._reduce_csr_rows`, whose schedule does
-    not depend on the lane count, so the active lane group may shrink
-    between replays.
+    not depend on the lane count (only its chunks split across lanes),
+    so the active lane group may shrink between replays.
     """
 
     __slots__ = (
@@ -1735,9 +1739,7 @@ class _BSparseMatvecStep:
                 sp.data, sp.indices, sp.indptr, xs, engine.fmt.scale, self.bufs
             )
             return engine._emit(out, self.resident)
-        products = sp.data[np.newaxis, :] * xs[:, sp.indices]
-        q = _trusted_encode(engine, products, xs, sp.abs_max, strict=True)
-        out = _reduce_csr_rows(engine, sp.row_plan(), q)
+        out = _reduce_csr_rows(engine, sp.row_plan(), _csr_product_words(engine, sp, xs))
         return engine._emit(out, self.resident)
 
 

@@ -90,7 +90,10 @@ class ReferenceEngine:
         return self.fmt.decode(self._add(qa, qb))
 
     def sub(self, a, b, *, resident: bool = False) -> np.ndarray:
-        return self.add(a, -np.asarray(b, dtype=np.float64))
+        """``a - b``: the subtrahend is encoded, then its word negated."""
+        qa = self.fmt.encode(np.asarray(a, dtype=np.float64))
+        qb = self.fmt.encode(np.asarray(b, dtype=np.float64))
+        return self.fmt.decode(self._add(qa, self.fmt.handle_overflow(-qb)))
 
     def scale_add(self, x, alpha, d, *, resident: bool = False) -> np.ndarray:
         return self.add(x, alpha * np.asarray(d, dtype=np.float64))

@@ -13,8 +13,15 @@ ledger, down to the exact ``n - 1`` adds per reduced lane.
 import numpy as np
 import pytest
 
-from repro.arith.engine import ApproxEngine, EnergyLedger, ResidentVector
+from repro.arith.engine import (
+    ApproxEngine,
+    BatchedEngine,
+    EnergyLedger,
+    LaneStack,
+    ResidentVector,
+)
 from repro.arith.fixed import FixedPointFormat
+from repro.arith.program import ProgramEngine
 from repro.arith.reference import ReferenceEngine
 
 
@@ -153,7 +160,7 @@ class TestResidency:
 
     def test_sub_resident_most_negative_word(self, bank32):
         # Negating the most negative word must follow the overflow
-        # policy, exactly like the float-negate-then-encode path.
+        # policy, on the resident path as on the reference's float path.
         for overflow in ("saturate", "wrap"):
             fmt = FixedPointFormat(32, 16, overflow=overflow)
             fast, legacy = _pair(bank32, "acc", fmt)
@@ -162,6 +169,38 @@ class TestResidency:
             np.testing.assert_array_equal(
                 fast.sub(np.zeros(2), rv), legacy.sub(np.zeros(2), lowest)
             )
+
+    @pytest.mark.parametrize("overflow", ["saturate", "wrap"])
+    def test_sub_out_of_range_subtrahend_any_form(self, bank32, overflow):
+        """A subtrahend beyond the format's range gives the same words
+        as a float, a resident vector or a lane stack, on every engine:
+        it is encoded first, then its word negated."""
+        fmt = FixedPointFormat(32, 16, overflow=overflow)
+        mode = bank32.by_name("acc")
+        a = np.array([0.0, 0.0, 3.0, -2.0, 1.0, 0.0])
+        b = np.array([40000.0, -40000.0, 1.5, fmt.max_value, fmt.min_value, 1e15])
+        qb = fmt.encode(b)
+        want = fmt.decode(fmt.handle_overflow(fmt.encode(a) - qb))
+        if overflow == "saturate":
+            assert want[0] == -fmt.max_value  # not min_value
+        fast, legacy = _pair(bank32, "acc", fmt)
+        np.testing.assert_array_equal(fast.sub(a, b), want)
+        np.testing.assert_array_equal(fast.sub(a, ResidentVector(qb, fmt)), want)
+        np.testing.assert_array_equal(legacy.sub(a, b), want)
+
+        batched = BatchedEngine(mode, fmt, lanes=2)
+        batched.select_lanes([0, 1])
+        stack = np.stack([a, a])
+        forms = (np.stack([b, b]), b, ResidentVector(qb, fmt), LaneStack(np.stack([qb, qb]), fmt))
+        for form in forms:
+            np.testing.assert_array_equal(batched.sub(stack, form), np.stack([want, want]))
+
+        for form in (b, ResidentVector(qb, fmt)):
+            prog = ProgramEngine(mode, fmt, EnergyLedger())
+            for k, x in enumerate((a, a + 0.0)):
+                assert prog.begin_iteration({"x": x}) == ("replay" if k else "record")
+                np.testing.assert_array_equal(prog.sub(x, form), want)
+                assert prog.end_iteration() == (("replayed" if k else "captured"), None)
 
 
 class TestFrameworkParity:

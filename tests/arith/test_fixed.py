@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.arith.fixed import FixedPointFormat
@@ -55,15 +55,26 @@ class TestEncodeDecode:
         assert err.max() <= fmt.resolution / 2 + 1e-12
 
     def test_saturate_clamps(self):
-        fmt = FixedPointFormat(16, 8, overflow="saturate")
-        out = fmt.quantize(np.array([1e6, -1e6]))
-        assert out[0] == pytest.approx(fmt.max_value)
-        assert out[1] == pytest.approx(fmt.min_value)
+        # Beyond 2**63 a float has no int64 cast: the clamp must come
+        # first, or huge positives turn into the most negative word.
+        for width in (8, 16, 32):
+            fmt = FixedPointFormat(width, width // 2, overflow="saturate")
+            out = fmt.quantize(np.array([1e6, -1e6, 1e15, -1e15, 1e300, -1e300]))
+            assert list(out) == [fmt.max_value, fmt.min_value] * 3
 
     def test_wrap_wraps(self):
         fmt = FixedPointFormat(16, 8, overflow="wrap")
         out = fmt.quantize(np.array([fmt.max_value + fmt.resolution]))
         assert out[0] == pytest.approx(fmt.min_value)
+        # rint(x * scale) modulo 2**width, sign-extended, for any finite x.
+        values = [1e15, -1e15, 1e300, -1e300, 2.0**40 + 0.75]
+        for width in (8, 16, 32):
+            fmt = FixedPointFormat(width, width // 2, overflow="wrap")
+            half = 1 << (width - 1)
+            want = [
+                (int(np.rint(v * fmt.scale)) + half) % (1 << width) - half for v in values
+            ]
+            assert fmt.encode(np.array(values)).tolist() == want
 
     def test_rejects_nan(self):
         fmt = FixedPointFormat()
@@ -87,6 +98,18 @@ class TestEncodeDecode:
         once = fmt.quantize(np.array([value]))
         twice = fmt.quantize(once)
         assert np.array_equal(once, twice)
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([(8, 4), (16, 8), (32, 16), (32, 0)]),
+    )
+    @example(1e14, 1e15, (32, 16))
+    @settings(max_examples=300)
+    def test_saturating_quantize_monotone_full_range(self, a, b, shape):
+        fmt = FixedPointFormat(*shape)
+        lo, hi = sorted((a, b))
+        assert fmt.quantize(np.array([lo]))[0] <= fmt.quantize(np.array([hi]))[0]
 
     @given(st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
     @settings(max_examples=300)

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.apps.pagerank import PageRank
+from repro.arith import engine as engine_module
 from repro.arith.engine import (
     ApproxEngine,
     BatchedEnergyLedger,
@@ -152,12 +153,15 @@ class TestWidth8Exhaustive:
     reduce is *made of* adder calls, with no sparse-specific arithmetic
     allowed to creep in.
 
-    The ragged cases pin the level-synchronous reduce to the reference
+    The ragged cases pin the level-ordered reduce to the reference
     engine's per-length trees: rows of every nnz length 0..40 (empty and
-    single-entry rows included, lengths shuffled across rows), integer
-    products that overflow the width-8 word, every mode of the bank and
-    both overflow policies — equal words, ledgers and charge sequences
-    through the interpreted, batched and captured/replayed engines."""
+    single-entry rows included, lengths shuffled across rows) plus one
+    row longer than three adder chunks, integer products that overflow
+    the width-8 word, every mode of the bank and both overflow policies
+    — equal words, ledgers and charge sequences through the interpreted,
+    batched and captured/replayed engines.  Each runs at the default
+    chunk size and at chunks of 1, 3 and 7 words, so that chunk edges
+    split rows, levels and lane groups with remainders."""
 
     WIDTH = 8
 
@@ -198,7 +202,7 @@ class TestWidth8Exhaustive:
 
     @pytest.mark.parametrize("mode_name", ["acc", "level2"])
     def test_random_segments_match_slow_twin(self, mode_name):
-        """Mixed nnz lengths 0..8: level-synchronous reduce vs the
+        """Mixed nnz lengths 0..8: level-ordered reduce vs the
         reference engine's per-length trees, words and charges."""
         rng = np.random.default_rng(5)
         n_rows = 200
@@ -227,19 +231,30 @@ class TestWidth8Exhaustive:
     COLS = 48
     MODES = [mode.name for mode in default_mode_bank(8)]
 
-    def _setup(self, overflow, mode_name, seed=0):
+    # The default chunk keeps the plain ``saturate`` / ``wrap`` ids.
+    CHUNK_CASES = [
+        pytest.param(overflow, chunk, id=overflow + (f"-chunk{chunk}" if chunk else ""))
+        for chunk in (None, 1, 3, 7)
+        for overflow in ("saturate", "wrap")
+    ]
+
+    def _setup(self, overflow, mode_name, chunk, monkeypatch, seed=0):
+        if chunk is not None:
+            monkeypatch.setattr(engine_module, "_FOLD_CHUNK", chunk)
         rng = np.random.default_rng(seed)
-        lengths = rng.permutation(np.repeat(np.arange(41), 3))
+        long_row = 3 * engine_module._FOLD_CHUNK + 2
+        lengths = rng.permutation(np.append(np.repeat(np.arange(41), 3), long_row))
+        cols = max(self.COLS, long_row)
         indptr = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         indices = np.concatenate(
-            [np.sort(rng.choice(self.COLS, k, replace=False)) for k in lengths]
+            [np.sort(rng.choice(cols, k, replace=False)) for k in lengths]
         )
         data = rng.integers(-128, 128, int(indptr[-1])).astype(np.float64)
-        sp = SparseResidentMatrix(data, indices, indptr, (lengths.size, self.COLS))
+        sp = SparseResidentMatrix(data, indices, indptr, (lengths.size, cols))
         fmt = FixedPointFormat(self.WIDTH, 0, overflow=overflow)
         mode = default_mode_bank(self.WIDTH).by_name(mode_name)
-        vecs = rng.choice([-1.0, 1.0], size=(3, self.COLS))
+        vecs = rng.choice([-1.0, 1.0], size=(3, cols))
         return sp, fmt, mode, vecs
 
     def _reference(self, mode, fmt, calls):
@@ -249,10 +264,10 @@ class TestWidth8Exhaustive:
         words = [getattr(ref, kind)(*args) for kind, args in calls]
         return words, ref.ledger, log.charges
 
-    @pytest.mark.parametrize("overflow", ["saturate", "wrap"])
+    @pytest.mark.parametrize("overflow, chunk", CHUNK_CASES)
     @pytest.mark.parametrize("mode_name", MODES)
-    def test_interpreted_matches_reference(self, mode_name, overflow):
-        sp, fmt, mode, vecs = self._setup(overflow, mode_name)
+    def test_interpreted_matches_reference(self, mode_name, overflow, chunk, monkeypatch):
+        sp, fmt, mode, vecs = self._setup(overflow, mode_name, chunk, monkeypatch)
         w = np.resize(vecs[1], sp.shape[0])
         calls = [("matvec", (sp, vecs[0])), ("weighted_sum", (w, sp))]
         want, ledger, charges = self._reference(mode, fmt, calls)
@@ -265,10 +280,10 @@ class TestWidth8Exhaustive:
         assert fast.ledger == ledger
         assert log.charges == charges
 
-    @pytest.mark.parametrize("overflow", ["saturate", "wrap"])
+    @pytest.mark.parametrize("overflow, chunk", CHUNK_CASES)
     @pytest.mark.parametrize("mode_name", MODES)
-    def test_lane_stack_matches_solo_runs(self, mode_name, overflow):
-        sp, fmt, mode, vecs = self._setup(overflow, mode_name, seed=1)
+    def test_lane_stack_matches_solo_runs(self, mode_name, overflow, chunk, monkeypatch):
+        sp, fmt, mode, vecs = self._setup(overflow, mode_name, chunk, monkeypatch, seed=1)
         for engine_cls in (BatchedEngine, BatchedProgramEngine):
             log = _ChargeLog()
             engine = engine_cls(mode, fmt, BatchedEnergyLedger(3, observer=log))
@@ -290,13 +305,15 @@ class TestWidth8Exhaustive:
                 assert engine.ledger.lane_ledger(lane) == ledger
             assert log.charges == [(m, 3 * n, 3 * c) for m, n, c in charges]
 
-    @pytest.mark.parametrize("overflow", ["saturate", "wrap"])
+    @pytest.mark.parametrize("overflow, chunk", CHUNK_CASES)
     @pytest.mark.parametrize("mode_name", MODES)
-    def test_capture_then_replay_matches_reference(self, mode_name, overflow):
+    def test_capture_then_replay_matches_reference(
+        self, mode_name, overflow, chunk, monkeypatch
+    ):
         """Capture on one iterate, replay on two more: the replay runs
         the unfused route (the ``nnz_max * W`` proof fails at width 8)
         and keeps its recorded charges."""
-        sp, fmt, mode, vecs = self._setup(overflow, mode_name, seed=2)
+        sp, fmt, mode, vecs = self._setup(overflow, mode_name, chunk, monkeypatch, seed=2)
         log = _ChargeLog()
         prog = ProgramEngine(mode, fmt, EnergyLedger(observer=log))
         got = []
@@ -316,7 +333,7 @@ class TestWidth8Exhaustive:
 class TestReplayFusionGate:
     """The fused CSR replay kernel engages exactly when the
     ``nnz_max * W`` in-range proof holds; a matrix with one hot row
-    must fall back to the level-synchronous replay — and stay
+    must fall back to the level-ordered replay — and stay
     bit-identical."""
 
     def _capture_and_replay(self, sp, make_vec, monkeypatch):
@@ -361,7 +378,7 @@ class TestReplayFusionGate:
 
     def test_hot_row_disables_fusion_but_keeps_parity(self, monkeypatch):
         """One row whose nnz * W bound overflows the word: the proof
-        fails, the fused kernel must not run, and the level-synchronous
+        fails, the fused kernel must not run, and the level-ordered
         replay still matches the interpreted oracle exactly."""
         dense = np.zeros((20, 20))
         dense[3, :] = 2000.0  # hot row: nnz=20, 20*W overflows the word
