@@ -8,7 +8,8 @@ schedules of the same workload — a Python loop of B interpreted solo
 runs, the interpreted batched path (``program_capture=False``) and the
 replayed batched path (the default) — and gate the replay path against
 both: it must beat the solo loop by a wide margin and the interpreted
-batch by the per-iteration dispatch overhead it removes.
+batch by the per-iteration dispatch overhead it removes.  Each gate's
+two sides are timed in alternation (``perf.time_pair``).
 
 Workload choice mirrors the solo replay suite: weakly dominant 1-D
 Laplacian systems keep the loop alive for the full ``max_iter`` (random
@@ -96,17 +97,22 @@ def _bench_replay(perf, name, framework, specs, repeats, solo_gate, batch_gate):
     _assert_batch_matches_solo(interpreted_batch(), solo)
     _assert_batch_matches_solo(replayed_batch(), solo)
 
-    t_solo = perf.time(solo_loop, repeats=max(2, repeats - 1))
-    t_interp = perf.time(interpreted_batch, repeats=repeats)
-    t_replay = perf.time(replayed_batch, repeats=repeats)
-    vs_solo = t_solo / t_replay
-    vs_batch = t_interp / t_replay
+    # Each gate divides two sides timed in strict alternation, so both
+    # saw the same machine state.
+    t_solo, t_replay_a = perf.time_pair(
+        solo_loop, replayed_batch, repeats=max(2, repeats - 1)
+    )
+    t_interp, t_replay_b = perf.time_pair(
+        interpreted_batch, replayed_batch, repeats=repeats
+    )
+    vs_solo = t_solo / t_replay_a
+    vs_batch = t_interp / t_replay_b
     perf.record(
         name,
         lanes=len(specs),
         solo_loop_s=round(t_solo, 4),
         interpreted_batch_s=round(t_interp, 4),
-        replayed_batch_s=round(t_replay, 4),
+        replayed_batch_s=round(min(t_replay_a, t_replay_b), 4),
         speedup=round(vs_solo, 2),
         vs_interpreted_batch=round(vs_batch, 2),
     )

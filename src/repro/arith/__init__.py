@@ -21,11 +21,12 @@ methods in :mod:`repro.solvers` / :mod:`repro.apps`:
   one kernel call advances a whole stack of independent workloads with
   bit-identical per-lane results and exact per-lane energy accounting;
 * :class:`ProgramEngine` / :class:`IterationProgram` — CUDA-graph-style
-  capture/replay for the solo online loop: one interpreted iteration is
+  capture/replay for the online loop: one interpreted iteration is
   recorded into a compiled program that later iterations replay with
   bit-identical iterates and a float-equal energy ledger, constant
-  operands resolving to their compile-time encodings
-  (:mod:`repro.arith.program`);
+  operands resolving to their compile-time encodings.  One step class
+  per op serves solo runs and lane groups alike, compiled for the lane
+  count of its recording (:mod:`repro.arith.program`);
 * :mod:`repro.arith.modes` — the quality-configurable mode registry
   (``level1`` .. ``level4`` + ``accurate``) mirroring the paper's
   experimental platform.

@@ -46,6 +46,7 @@ once at construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,7 @@ except ImportError:  # pragma: no cover - exercised only without scipy
 from repro.arith.fixed import FixedPointFormat
 from repro.arith.modes import ApproxMode
 from repro.backends import KERNELS
+from repro.backends.base import _row_starts
 from repro.hardware import bitops
 
 
@@ -226,7 +228,12 @@ class SparseResidentMatrix:
 
     The arrays are treated as immutable after construction; the row
     plan (with its reused buffers) and the transpose are built lazily
-    and cached on the instance.
+    and cached on the instance, and so is ``_kernel_bufs``: the scratch
+    every fused :meth:`~repro.backends.base.KernelBackend.csr_matvec_words`
+    call over this matrix shares, whichever program issues it — its
+    segment-sum selector (or, without scipy, the non-empty rows and
+    their starts, which :meth:`matvec_exact` reads too) is built once
+    per matrix, on first use.
 
     Attributes:
         data: nnz float64 values.
@@ -246,7 +253,7 @@ class SparseResidentMatrix:
         "nnz_max",
         "_plan",
         "_transpose",
-        "_exact_geom",
+        "_kernel_bufs",
         "_row_ids",
         "_scipy",
         "_scipy_T",
@@ -279,7 +286,7 @@ class SparseResidentMatrix:
         self.nnz_max = int(nnz.max()) if nnz.size else 0
         self._plan = None
         self._transpose = None
-        self._exact_geom = None
+        self._kernel_bufs: dict = {}
         self._row_ids = None
         self._scipy = None
         self._scipy_T = None
@@ -374,10 +381,7 @@ class SparseResidentMatrix:
         if handle is not None:
             return handle @ x
         out = np.zeros(self.shape[0], dtype=np.float64)
-        if self._exact_geom is None:
-            nz = self.indptr[:-1] < self.indptr[1:]
-            self._exact_geom = (nz, np.ascontiguousarray(self.indptr[:-1][nz]))
-        nz, starts = self._exact_geom
+        nz, starts = _row_starts(self.indptr, self._kernel_bufs)
         out[nz] = np.add.reduceat(self.data * x[self.indices], starts)
         return out
 
@@ -529,26 +533,106 @@ class EnergyLedger:
         return self.energy - earlier.energy
 
 
+def _saturating_add(engine, qa, qb, bounds_a=None, bounds_b=None) -> np.ndarray:
+    """One adder call behind the saturating output stage, charge-free.
+
+    The adder wraps; when the *true* sum leaves the representable
+    range, the output stage clamps it instead of trusting the wrapped
+    (sign-flipped) approximate word.  One range precheck (the operands'
+    global ``(min, max)``, taken from ``bounds_*`` when the caller
+    already knows them) proves most adds cannot leave the range and
+    skips the ``int64`` true-sum recompute.  The clamp is elementwise,
+    so a conservative precheck (one envelope over a whole lane stack)
+    can only make the recompute run more often, never change a word.
+    Every engine add, tree level and CSR fold chunk ends here.
+    """
+    out = engine.backend.add_signed(engine.mode.adder, qa, qb)
+    if engine.fmt.overflow != "saturate":
+        return out
+    if bounds_a is None:
+        if not qa.size:
+            return out
+        bounds_a = (int(qa.min()), int(qa.max()))
+    if bounds_b is None:
+        if not qb.size:
+            return out
+        bounds_b = (int(qb.min()), int(qb.max()))
+    lo, hi = engine._signed_lo, engine._signed_hi
+    if bounds_a[0] + bounds_b[0] < lo or bounds_a[1] + bounds_b[1] > hi:
+        true = np.add(qa, qb, dtype=np.int64)
+        overflowed = (true < lo) | (true > hi)
+        if np.any(overflowed):
+            out = np.where(overflowed, np.clip(true, lo, hi), out)
+    return out
+
+
+def _fold(engine, q: np.ndarray) -> np.ndarray:
+    """Balanced-tree reduction of axis 0 down to one slice, charge-free.
+
+    Walks :func:`~repro.hardware.bitops.reduction_levels` (the tree
+    depends on the reduced length alone, so lane stacks fold alike),
+    each level one :func:`_saturating_add` of ``cur[:half]`` and
+    ``cur[half:2*half]``, carrying odd tails through one buffer
+    allocated at the first (widest) odd level instead of a per-level
+    ``np.concatenate``.  One min/max bounds the first level's
+    precheck.  With an exact adder every level output equals the
+    clipped true sum, so interval arithmetic carries the bounds level
+    to level; approximate adders can emit any word and rescan.  Callers
+    charge ``half`` adds per reduced slot for each level.
+    """
+    cur = q
+    if cur.shape[0] <= 1:
+        return cur[0]
+    bounds = None
+    if engine.fmt.overflow == "saturate" and cur.size:
+        bounds = (int(cur.min()), int(cur.max()))
+    exact = engine.mode.adder.is_exact
+    lo_w, hi_w = engine._signed_lo, engine._signed_hi
+    levels = bitops.reduction_levels(cur.shape[0])
+    last = len(levels) - 1
+    buf = None
+    for i, (half, odd) in enumerate(levels):
+        folded = _saturating_add(engine, cur[:half], cur[half : 2 * half], bounds, bounds)
+        if odd:
+            if buf is None:
+                buf = np.empty((half + 1,) + cur.shape[1:], dtype=np.int64)
+            nxt = buf[: half + 1]
+            # Tail first: buf may alias cur after an earlier odd level,
+            # and index 2*half sits above every write here.
+            nxt[half] = cur[2 * half]
+            nxt[:half] = folded
+            cur = nxt
+        else:
+            cur = folded
+        if bounds is not None and i < last:
+            if exact:
+                lo = max(bounds[0] + bounds[0], lo_w)
+                hi = min(bounds[1] + bounds[1], hi_w)
+                if odd:
+                    # The carried tail word keeps last level's bounds.
+                    lo = min(lo, bounds[0])
+                    hi = max(hi, bounds[1])
+                bounds = (lo, hi)
+            else:
+                bounds = (int(cur.min()), int(cur.max()))
+    return cur[0]
+
+
 def _reduce_csr_rows(engine, plan: SparseReductionPlan, q: np.ndarray) -> np.ndarray:
     """Reduce every CSR row's tree, level by level, in L2-sized chunks.
 
     ``q`` holds the encoded products at their CSR positions on its last
     axis (``(nnz,)`` solo, ``(B, nnz)`` lane-stacked).  Each level is
-    one gather, then ``buf[:H] += buf[H:2H]`` through the adder in
-    :data:`_FOLD_CHUNK`-word calls, each with its own saturation
-    precheck (logged by a recording program engine), then the finished
-    rows' read-out.  The adder and the saturating output stage are
-    elementwise, so the words equal each row's own tree walk whichever
-    pairs share a call.  Charges nothing: interpreted engines charge
-    ``plan.counts``, replay steps their recorded charges.  Returns
-    ``(..., n_rows)``.
+    one gather, then ``buf[:H] += buf[H:2H]`` through
+    :func:`_saturating_add` in :data:`_FOLD_CHUNK`-word calls, then the
+    finished rows' read-out.  The adder and the saturating output stage
+    are elementwise, so the words equal each row's own tree walk
+    whichever pairs share a call.  Charges nothing: interpreted engines
+    charge ``plan.counts``, replay steps their recorded charges.
+    Returns ``(..., n_rows)``.
     """
-    adder, add_signed = engine.mode.adder, engine.backend.add_signed
-    saturating = engine.fmt.overflow == "saturate"
-    lo, hi = engine._signed_lo, engine._signed_hi
     lead = q.shape[:-1]
     lanes = lead[0] if lead else 1
-    lane_axis = (0,) if lead else ()
     step = max(1, _FOLD_CHUNK // lanes)
     out = np.zeros(lead + (plan.n_rows,), dtype=np.int64)
     out[..., plan.single_rows] = q[..., plan.single_pos]
@@ -559,14 +643,7 @@ def _reduce_csr_rows(engine, plan: SparseReductionPlan, q: np.ndarray) -> np.nda
         q = np.take(q, gather, axis=-1, out=buf, mode="clip")
         for c in range(0, half, step):
             e = min(c + step, half)
-            qa, qb = q[..., c:e], q[..., half + c : half + e]
-            sums = add_signed(adder, qa, qb)
-            if saturating and engine._saturation_needed(qa, qb, None, None, *lane_axis):
-                true = qa + qb
-                overflowed = (true < lo) | (true > hi)
-                if np.any(overflowed):
-                    sums = np.where(overflowed, np.clip(true, lo, hi), sums)
-            q[..., c:e] = sums
+            q[..., c:e] = _saturating_add(engine, q[..., c:e], q[..., half + c : half + e])
         out[..., rows] = q[..., pos]
     return out
 
@@ -667,30 +744,6 @@ class ApproxEngine:
             return ResidentVector(words, self.fmt)
         return self.fmt.decode(words)
 
-    def _saturation_needed(
-        self,
-        qa: np.ndarray,
-        qb: np.ndarray,
-        bounds_a: tuple[int, int] | None,
-        bounds_b: tuple[int, int] | None,
-    ) -> bool:
-        """Whether the saturating output stage must recompute true sums.
-
-        A cheap range precheck (operand min/max, cached on residents)
-        proves most adds cannot leave the representable range, skipping
-        the int64 true-sum recompute entirely.
-        """
-        if qa.size == 0 or qb.size == 0:
-            return False
-        if bounds_a is None:
-            bounds_a = (int(qa.min()), int(qa.max()))
-        if bounds_b is None:
-            bounds_b = (int(qb.min()), int(qb.max()))
-        return (
-            bounds_a[0] + bounds_b[0] < self._signed_lo
-            or bounds_a[1] + bounds_b[1] > self._signed_hi
-        )
-
     def _add_words(
         self,
         qa: np.ndarray,
@@ -698,20 +751,10 @@ class ApproxEngine:
         bounds_a: tuple[int, int] | None = None,
         bounds_b: tuple[int, int] | None = None,
     ) -> np.ndarray:
-        """Add fixed-point words through the mode's adder, with overflow
-        handling and energy charging."""
-        out = self.backend.add_signed(self.mode.adder, qa, qb)
-        if self.fmt.overflow == "saturate" and self._saturation_needed(
-            qa, qb, bounds_a, bounds_b
-        ):
-            # A saturating output stage: when the *true* sum leaves the
-            # representable range, clamp instead of trusting the wrapped
-            # (sign-flipped) approximate word.
-            true = qa.astype(np.int64) + qb.astype(np.int64)
-            lo, hi = self._signed_lo, self._signed_hi
-            overflowed = (true < lo) | (true > hi)
-            if np.any(overflowed):
-                out = np.where(overflowed, np.clip(true, lo, hi), out)
+        """Add fixed-point words through the mode's adder and the
+        saturating output stage (:func:`_saturating_add`), charging
+        one addition per output word."""
+        out = _saturating_add(self, qa, qb, bounds_a, bounds_b)
         if qa.shape == qb.shape:
             n = int(qa.size)
         else:
@@ -730,63 +773,16 @@ class ApproxEngine:
         self.ledger.charge(mode_name, n_adds, energy_per_add)
 
     def _reduce_words(self, q: np.ndarray) -> np.ndarray:
-        """Balanced-tree reduction of axis 0 down to a single slice.
-
-        Folds the tree in place, carrying odd tails through one buffer
-        allocated at the first (widest) odd level instead of a
-        per-level ``np.concatenate``, while walking the reference
-        engine's tree — the identical sequence of :meth:`_add_words`
-        calls in the identical order — so results and the exact
-        ``n - 1`` adds-per-lane energy accounting are unchanged.
-        """
-        cur = np.asarray(q, dtype=np.int64)
-        shape = cur.shape
-        if shape[0] <= 1:
-            return cur[0]
-        saturating = self.fmt.overflow == "saturate"
-        # One min/max over the level bounds both operand halves for the
-        # saturation precheck; carried forward level to level.
-        bounds = None
-        if saturating and cur.size:
-            bounds = (int(cur.min()), int(cur.max()))
-        # With an exact adder and a saturating output stage every level
-        # output equals clip(true sum), so interval arithmetic on the
-        # operand bounds is a *sound* over-approximation and the
-        # per-level min/max rescans can be skipped.  Approximate adders
-        # can emit arbitrary width-bit words — their levels must rescan.
-        exact = self.mode.adder.is_exact
-        lo_w, hi_w = self._signed_lo, self._signed_hi
-        levels = bitops.reduction_levels(shape[0])
-        last = len(levels) - 1
-        buf = None
-        for i, (half, odd) in enumerate(levels):
-            folded = self._add_words(
-                cur[:half], cur[half : 2 * half], bounds_a=bounds, bounds_b=bounds
-            )
-            if odd:
-                if buf is None:
-                    buf = np.empty((half + 1,) + shape[1:], dtype=np.int64)
-                nxt = buf[: half + 1]
-                # Tail first: buf may alias cur after an earlier odd
-                # level, and index 2*half sits above every write here.
-                nxt[half] = cur[2 * half]
-                nxt[:half] = folded
-                cur = nxt
-            else:
-                cur = folded
-            if bounds is not None and i < last:
-                if exact:
-                    lo = max(bounds[0] + bounds[0], lo_w)
-                    hi = min(bounds[1] + bounds[1], hi_w)
-                    if odd:
-                        # The carried tail word still has last level's
-                        # bounds; widen to cover it.
-                        lo = min(lo, bounds[0])
-                        hi = max(hi, bounds[1])
-                    bounds = (lo, hi)
-                else:
-                    bounds = (int(cur.min()), int(cur.max()))
-        return cur[0]
+        """Balanced-tree reduction of axis 0 down to a single slice
+        (:func:`_fold`), then one charge per tree level, root-ward —
+        the reference engine's ``n - 1`` adds per reduced slot, in its
+        order."""
+        q = np.asarray(q, dtype=np.int64)
+        out = _fold(self, q)
+        per_slot = math.prod(q.shape[1:])
+        for half, _odd in bitops.reduction_levels(q.shape[0]):
+            self._charge(self.mode.name, half * per_slot, self.mode.energy_per_add)
+        return out
 
     # ------------------------------------------------------------------
     # Public kernels: floats in/out by default, fixed-point-resident
@@ -1123,27 +1119,25 @@ class LaneStack:
     """Per-lane fixed-point words resident between batched kernels.
 
     The batched analogue of :class:`ResidentVector`: an ``int64`` word
-    array whose *leading* axis indexes lanes, plus lazily cached
-    per-lane ``(min, max)`` bound arrays feeding the batched saturation
-    precheck.  Each lane's slice holds exactly the words the solo
-    engine would hold for that lane.
+    array whose *leading* axis indexes lanes, plus the lazily cached
+    ``(min, max)`` envelope of every lane's words, which feeds the
+    saturation precheck as a resident's bounds do.  Each lane's slice
+    holds exactly the words the solo engine would hold for that lane.
     """
 
-    __slots__ = ("words", "fmt", "_lo", "_hi")
+    __slots__ = ("words", "fmt", "_bounds")
 
     def __init__(
         self,
         words: np.ndarray,
         fmt: FixedPointFormat,
-        lo: np.ndarray | None = None,
-        hi: np.ndarray | None = None,
+        bounds: tuple[int, int] | None = None,
     ):
         self.words = np.asarray(words, dtype=np.int64)
         if self.words.ndim < 1:
             raise ValueError("LaneStack needs a leading lane axis")
         self.fmt = fmt
-        self._lo = lo
-        self._hi = hi
+        self._bounds = bounds
 
     @property
     def lanes(self) -> int:
@@ -1153,15 +1147,11 @@ class LaneStack:
     def shape(self) -> tuple[int, ...]:
         return self.words.shape
 
-    def lane_bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Cached per-lane ``(min, max)`` arrays; ``None`` when empty."""
-        if self._lo is None and self.words.size:
-            flat = self.words.reshape(self.words.shape[0], -1)
-            self._lo = flat.min(axis=1)
-            self._hi = flat.max(axis=1)
-        if self._lo is None:
-            return None
-        return self._lo, self._hi
+    def bounds(self) -> tuple[int, int] | None:
+        """Cached ``(min, max)`` over every lane; ``None`` when empty."""
+        if self._bounds is None and self.words.size:
+            self._bounds = (int(self.words.min()), int(self.words.max()))
+        return self._bounds
 
     def decode(self) -> np.ndarray:
         """The float values these words represent (all lanes)."""
@@ -1184,14 +1174,6 @@ class LaneStack:
         return f"LaneStack(shape={self.words.shape}, fmt={self.fmt.describe()})"
 
 
-def _lane_minmax(
-    q: np.ndarray, lane_axis: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-lane ``(min, max)`` over every non-lane axis (no copy)."""
-    axes = tuple(i for i in range(q.ndim) if i != lane_axis)
-    return q.min(axis=axes), q.max(axis=axes)
-
-
 class BatchedEngine:
     """Lock-step lane-parallel variant of :class:`ApproxEngine`.
 
@@ -1202,8 +1184,8 @@ class BatchedEngine:
     adders are elementwise bitwise operations and the tree geometry
     depends only on the reduced axis length, so each lane's output words
     are bit-identical to a solo :class:`ApproxEngine` run of that lane;
-    the per-lane saturation bounds only decide whether the true-sum
-    recompute executes, never what it produces.
+    the saturation precheck's one envelope over all lanes only decides
+    whether the true-sum recompute executes, never what it produces.
 
     Shared operands — a :class:`ResidentVector` or a plain ``(N,)``
     array common to every lane — broadcast against the lane stacks via
@@ -1279,16 +1261,9 @@ class BatchedEngine:
             )
 
     def _coerce(self, x):
-        """Operand → ``(words, bounds)``.
-
-        Bounds are ``(lo, hi)`` where each side is a scalar (shared
-        resident) or a per-lane array (lane stack); both broadcast in
-        the precheck.
-        """
-        if isinstance(x, LaneStack):
-            self._check_fmt(x)
-            return x.words, x.lane_bounds()
-        if isinstance(x, ResidentVector):
+        """Operand → ``(words, bounds)``: a lane stack or a shared
+        resident brings its cached ``(min, max)`` envelope along."""
+        if isinstance(x, (LaneStack, ResidentVector)):
             self._check_fmt(x)
             return x.words, x.bounds()
         arr = np.asarray(x, dtype=np.float64)
@@ -1305,48 +1280,20 @@ class BatchedEngine:
             return LaneStack(words, self.fmt)
         return self.fmt.decode(words)
 
-    def _saturation_needed(
-        self, qa, qb, bounds_a, bounds_b, lane_axis: int
-    ) -> bool:
-        """Global (any-lane) version of the solo range precheck.
-
-        The precheck only decides whether the true-sum recompute runs;
-        the recompute itself is per-element, so a conservative global
-        answer keeps per-lane results bit-identical.
-        """
-        if qa.size == 0 or qb.size == 0:
-            return False
-        if bounds_a is None:
-            bounds_a = _lane_minmax(qa, lane_axis)
-        if bounds_b is None:
-            bounds_b = _lane_minmax(qb, lane_axis)
-        lo = np.asarray(bounds_a[0]) + np.asarray(bounds_b[0])
-        hi = np.asarray(bounds_a[1]) + np.asarray(bounds_b[1])
-        return bool(np.any(lo < self._signed_lo) or np.any(hi > self._signed_hi))
-
     def _add_words(
         self,
         qa: np.ndarray,
         qb: np.ndarray,
         bounds_a=None,
         bounds_b=None,
-        lane_axis: int = 0,
     ) -> np.ndarray:
         """Lane-stacked :meth:`ApproxEngine._add_words`: the adder and
         the saturating output stage are elementwise, so each lane's
         slice is bit-identical to a solo add; the charge fans out as
         ``size // lanes`` adds to every selected lane."""
-        lanes = qa.shape[lane_axis]
+        lanes = qa.shape[0]
         self._check_lanes(lanes)
-        out = self.backend.add_signed(self.mode.adder, qa, qb)
-        if self.fmt.overflow == "saturate" and self._saturation_needed(
-            qa, qb, bounds_a, bounds_b, lane_axis
-        ):
-            true = qa.astype(np.int64) + qb.astype(np.int64)
-            lo, hi = self._signed_lo, self._signed_hi
-            overflowed = (true < lo) | (true > hi)
-            if np.any(overflowed):
-                out = np.where(overflowed, np.clip(true, lo, hi), out)
+        out = _saturating_add(self, qa, qb, bounds_a, bounds_b)
         n_per_lane = int(qa.size) // lanes
         self._charge_lanes(
             self.mode.name, n_per_lane, self.mode.energy_per_add
@@ -1375,54 +1322,18 @@ class BatchedEngine:
         )
 
     def _reduce_words(self, q: np.ndarray) -> np.ndarray:
-        """Balanced-tree reduction of axis 0 of a ``(n, L, ...)`` slab.
-
-        Walks the identical tree as :meth:`ApproxEngine._reduce_words`
-        (the level splits depend only on ``n``), with the incremental
-        saturation bounds kept per lane — exact adders propagate
-        interval arithmetic elementwise, approximate adders rescan.
-        """
-        cur = np.asarray(q, dtype=np.int64)
-        shape = cur.shape
-        if shape[0] <= 1:
-            return cur[0]
-        saturating = self.fmt.overflow == "saturate"
-        bounds = None
-        if saturating and cur.size:
-            bounds = _lane_minmax(cur, lane_axis=1)
-        exact = self.mode.adder.is_exact
-        lo_w, hi_w = self._signed_lo, self._signed_hi
-        levels = bitops.reduction_levels(shape[0])
-        last = len(levels) - 1
-        buf = None
-        for i, (half, odd) in enumerate(levels):
-            folded = self._add_words(
-                cur[:half],
-                cur[half : 2 * half],
-                bounds_a=bounds,
-                bounds_b=bounds,
-                lane_axis=1,
-            )
-            if odd:
-                if buf is None:
-                    buf = np.empty((half + 1,) + shape[1:], dtype=np.int64)
-                nxt = buf[: half + 1]
-                nxt[half] = cur[2 * half]
-                nxt[:half] = folded
-                cur = nxt
-            else:
-                cur = folded
-            if bounds is not None and i < last:
-                if exact:
-                    lo = np.maximum(bounds[0] + bounds[0], lo_w)
-                    hi = np.minimum(bounds[1] + bounds[1], hi_w)
-                    if odd:
-                        lo = np.minimum(lo, bounds[0])
-                        hi = np.maximum(hi, bounds[1])
-                    bounds = (lo, hi)
-                else:
-                    bounds = _lane_minmax(cur, lane_axis=1)
-        return cur[0]
+        """Balanced-tree reduction of axis 0 of a ``(n, L, ...)`` slab:
+        the solo tree (:func:`_fold`), then one per-lane charge per
+        level, in the solo order."""
+        q = np.asarray(q, dtype=np.int64)
+        levels = bitops.reduction_levels(q.shape[0])
+        if levels:
+            self._check_lanes(q.shape[1])
+        out = _fold(self, q)
+        per_lane = math.prod(q.shape[2:])
+        for half, _odd in levels:
+            self._charge_lanes(self.mode.name, half * per_lane, self.mode.energy_per_add)
+        return out
 
     # ------------------------------------------------------------------
     # Public kernels (lane axis leading)
@@ -1441,13 +1352,6 @@ class BatchedEngine:
         subtrahend form is encoded, then its words negated."""
         qb, bounds = self._coerce(b)
         neg = self.fmt.handle_overflow(-qb)
-        if isinstance(b, LaneStack):
-            lo = hi = None
-            if bounds is not None and bool(np.all(bounds[0] > self._signed_lo)):
-                lo, hi = -bounds[1], -bounds[0]
-            return self.add(
-                a, LaneStack(neg, self.fmt, lo=lo, hi=hi), resident=resident
-            )
         if bounds is not None and bounds[0] > self._signed_lo:
             bounds = (-bounds[1], -bounds[0])
         else:

@@ -14,9 +14,9 @@ style:
 
 * :class:`ProgramRecorder` — during ONE fully interpreted iteration,
   records every top-level engine call (kind, operand identities —
-  constants or iteration-varying slots — shapes, saturation-precheck
-  outcomes, and the exact per-op ``(mode, n_adds, energy_per_add)``
-  charges) into an :class:`IterationProgram`;
+  constants or iteration-varying slots — shapes, and the exact per-op
+  ``(mode, n_adds, energy_per_add)`` charges) into an
+  :class:`IterationProgram`;
 * :class:`ProgramExecutor` — replays subsequent iterations by driving
   the vectorized kernels directly: constants resolve by identity to the
   words, bounds and ``abs_max`` computed once at compile time, broadcast
@@ -27,6 +27,15 @@ style:
   lane-group engines hosting the record/replay state machine they share
   (:class:`_ProgramCapture`) behind the same public kernel API, so
   solvers need no changes.
+
+One step class per op serves both engines.  Each step is compiled with
+the lane count its recording ran on — ``None`` for a solo engine — and
+that value alone decides how a stacked operand's shape is checked,
+which resident types it takes and which axes a product reduces over.
+Every step decides saturation on the spot, as the interpreted op does:
+each add re-runs its range precheck and clamps where the true sum
+leaves the word, and each fused route carries its own in-range proof
+for the call at hand.
 
 Contract (the repo's established one): a replayed iteration produces
 **bit-identical** words/iterates and an energy ledger **equal as
@@ -41,15 +50,14 @@ finishes interpreted and the engine's next one re-records):
 * operand shape or kind change (``"shape"`` / ``"operand"``);
 * an op sequence that no longer matches the program (``"structure"`` /
   ``"shorter-iteration"``);
-* an add whose recorded saturation precheck said "in range" now
-  overflowing (``"saturation"``);
 * a recording the compiler cannot express (``"compile"``): reported
   once, after which capture stays off for the engine's lifetime.
 
 Nothing else drops a program.  A function-scheme rollback keeps every
 engine's: the retried iteration replays its mode's program, whose
-per-add saturation re-proof and structural checks guard every step; a
-mode switch selects that mode's own engine and keeps its program.
+steps decide saturation themselves and whose structural checks guard
+every step; a mode switch selects that mode's own engine and keeps its
+program.
 
 The interpreted path stays byte-for-byte untouched as the regression
 oracle: a ``ProgramEngine`` with capture off *is* the plain engine, and
@@ -68,16 +76,15 @@ from repro.arith.engine import (
     ResidentVector,
     SparseResidentMatrix,
     _csr_product_words,
+    _fold,
     _reduce_csr_rows,
+    _saturating_add,
 )
-from repro.hardware import bitops
 
 _IDLE = "idle"
 _RECORD = "record"
 _REPLAY = "replay"
 _BAILED = "bailed"
-
-_NONFINITE_MSG = "cannot encode non-finite values into fixed point"
 
 
 class ProgramBailout(Exception):
@@ -97,6 +104,9 @@ class ProgramBailout(Exception):
 # ----------------------------------------------------------------------
 # Operand resolvers (compiled at capture close)
 # ----------------------------------------------------------------------
+#
+# Every resolver and step takes the lane count its recording ran on,
+# ``None`` for a solo engine (see ``Batched capture & replay`` below).
 def _is_slot(operand, arr, slots) -> bool:
     """Whether the operand is a declared iteration-varying slot."""
     for obj in slots.values():
@@ -115,14 +125,68 @@ def _negated_encode(fmt):
     return encode
 
 
-def _word_operand(engine, operand, slots, negate=False):
+def _residents(lanes):
+    """The resident operand types of a solo engine (``lanes is None``)
+    or of a lane group's, which adds :class:`LaneStack`."""
+    return ResidentVector if lanes is None else (ResidentVector, LaneStack)
+
+
+def _shape_rule(shape, stacked):
+    """``(cut, tail, ndim)``: replay accepts a shape ``s`` when
+    ``len(s) == ndim and s[cut:] == tail`` — every dim, or only the
+    trailing ones of a lane-stacked operand."""
+    cut = 1 if stacked else 0
+    return cut, shape[cut:], len(shape)
+
+
+def _resident_check(engine, operand):
+    """Compile a check ``op -> op`` for a resident operand: the kind
+    seen at capture, the engine's format and a matching shape, else
+    bail (``"operand"``)."""
+    kind = type(operand)
+    cut, tail, ndim = _shape_rule(operand.words.shape, kind is LaneStack)
+    fmt = engine.fmt
+
+    def check(op):
+        if (
+            not isinstance(op, kind)
+            or op.fmt != fmt
+            or op.words.ndim != ndim
+            or op.words.shape[cut:] != tail
+        ):
+            raise ProgramBailout("operand")
+        return op
+
+    return check
+
+
+def _fresh_floats(arr, lanes):
+    """Compile a resolver ``op -> float array`` for an operand that is
+    not a resident: a resident bails (``"operand"``), and so does a
+    shape the capture did not see (``"shape"``)."""
+    residents = _residents(lanes)
+    stacked = lanes is not None and arr.ndim >= 1 and arr.shape[0] == lanes
+    cut, tail, ndim = _shape_rule(arr.shape, stacked)
+
+    def resolve(op):
+        if isinstance(op, residents):
+            raise ProgramBailout("operand")
+        a = np.asarray(op, dtype=np.float64)
+        if a.ndim != ndim or a.shape[cut:] != tail:
+            raise ProgramBailout("shape")
+        return a
+
+    return resolve
+
+
+def _word_operand(engine, operand, slots, lanes, negate=False):
     """Compile a resolver: operand -> ``(words, bounds)``.
 
     Mirrors what ``_coerce`` (plus ``sub``'s negation) produces for the
     operand kind seen at capture:
 
-    * :class:`ResidentVector` — resolved by value every iteration
-      (format and shape checked; cached word bounds ride along);
+    * a resident — resolved by value every iteration (kind, format and
+      shape checked; its cached word bounds ride along);
     * a declared slot — always re-encoded (finiteness-checked, exactly
       like the interpreted encode);
     * anything else — *maybe-constant*: the capture-time encoding is
@@ -130,53 +194,24 @@ def _word_operand(engine, operand, slots, negate=False):
       same-shaped array re-encodes fresh.  Identity keying treats
       arrays fed to the engine as immutable — mutate-in-place operands
       must be declared via ``IterativeMethod.replay_operands``.
+
+    ``negate`` applies to float operands only: a resident subtrahend
+    compiles to :class:`_SubStep`, which resolves its positive words.
     """
-    fmt = engine.fmt
-    signed_lo = engine._signed_lo
-    if isinstance(operand, ResidentVector):
-        shape = operand.words.shape
-        if negate:
-
-            def resolve(op):
-                if (
-                    not isinstance(op, ResidentVector)
-                    or op.fmt != fmt
-                    or op.words.shape != shape
-                ):
-                    raise ProgramBailout("operand")
-                words = fmt.handle_overflow(-op.words)
-                bounds = op.bounds()
-                if bounds is not None and bounds[0] > signed_lo:
-                    return words, (-bounds[1], -bounds[0])
-                return words, None
-
-        else:
-
-            def resolve(op):
-                if (
-                    not isinstance(op, ResidentVector)
-                    or op.fmt != fmt
-                    or op.words.shape != shape
-                ):
-                    raise ProgramBailout("operand")
-                return op.words, op.bounds()
-
-        return resolve
-
-    encode = _negated_encode(fmt) if negate else fmt.encode
-    arr = np.asarray(operand, dtype=np.float64)
-    shape = arr.shape
-    if _is_slot(operand, arr, slots):
+    if isinstance(operand, _residents(lanes)):
+        check = _resident_check(engine, operand)
 
         def resolve(op):
-            if isinstance(op, ResidentVector):
-                raise ProgramBailout("operand")
-            a = np.asarray(op, dtype=np.float64)
-            if a.shape != shape:
-                raise ProgramBailout("shape")
-            return encode(a), None
+            op = check(op)
+            return op.words, op.bounds()
 
         return resolve
+
+    encode = _negated_encode(engine.fmt) if negate else engine.fmt.encode
+    arr = np.asarray(operand, dtype=np.float64)
+    fresh = _fresh_floats(arr, lanes)
+    if _is_slot(operand, arr, slots):
+        return lambda op: (encode(fresh(op)), None)
 
     obj = operand if isinstance(operand, np.ndarray) else arr
     words = encode(arr)
@@ -185,60 +220,22 @@ def _word_operand(engine, operand, slots, negate=False):
     def resolve(op):
         if op is obj:
             return words, bounds
-        if isinstance(op, ResidentVector):
-            raise ProgramBailout("operand")
-        a = np.asarray(op, dtype=np.float64)
-        if a.shape != shape:
-            raise ProgramBailout("shape")
-        return encode(a), None
+        return encode(fresh(op)), None
 
     return resolve
 
 
-def _float_operand(engine, operand, slots):
+def _float_operand(engine, operand, slots, lanes):
     """Compile a resolver: operand -> float array (``_to_float``)."""
-    fmt = engine.fmt
-    if isinstance(operand, ResidentVector):
-        shape = operand.words.shape
-
-        def resolve(op):
-            if (
-                not isinstance(op, ResidentVector)
-                or op.fmt != fmt
-                or op.words.shape != shape
-            ):
-                raise ProgramBailout("operand")
-            return op.decode()
-
-        return resolve
-
+    if isinstance(operand, _residents(lanes)):
+        check = _resident_check(engine, operand)
+        return lambda op: check(op).decode()
     arr = np.asarray(operand, dtype=np.float64)
-    shape = arr.shape
+    fresh = _fresh_floats(arr, lanes)
     if _is_slot(operand, arr, slots):
-
-        def resolve(op):
-            if isinstance(op, ResidentVector):
-                raise ProgramBailout("operand")
-            a = np.asarray(op, dtype=np.float64)
-            if a.shape != shape:
-                raise ProgramBailout("shape")
-            return a
-
-        return resolve
-
+        return fresh
     obj = operand if isinstance(operand, np.ndarray) else arr
-
-    def resolve(op):
-        if op is obj:
-            return arr
-        if isinstance(op, ResidentVector):
-            raise ProgramBailout("operand")
-        a = np.asarray(op, dtype=np.float64)
-        if a.shape != shape:
-            raise ProgramBailout("shape")
-        return a
-
-    return resolve
+    return lambda op: arr if op is obj else fresh(op)
 
 
 def _matrix_operand(engine, operand, slots):
@@ -270,150 +267,96 @@ def _matrix_operand(engine, operand, slots):
 # ----------------------------------------------------------------------
 # Replay arithmetic (interpreted-identical, charge-free)
 # ----------------------------------------------------------------------
-def _replay_add_words(engine, qa, qb, bounds_a, bounds_b, sat_recorded):
+def _replay_add_words(engine, qa, qb, bounds_a, bounds_b):
     """One elementwise add, bit-identical to ``_add_words`` sans charge.
 
-    The saturation precheck re-runs on the resolved bounds; ``needed``
-    while the recording said "in range" is the unexpected
-    saturation-bound violation — the numeric regime left the envelope
-    the program was compiled for, so bail and re-record.  With an exact
-    adder and an in-range proof the masked add collapses to ``np.add``
-    (the wrapped sum *is* the true sum), skipping three masking passes.
+    With an exact adder and an in-range proof on the resolved bounds
+    the masked add collapses to ``np.add`` (the wrapped sum *is* the
+    true sum), skipping three masking passes.  Anything else runs the
+    interpreted adder call and output stage
+    (:func:`~repro.arith.engine._saturating_add`), which decides
+    saturation on the spot: an add that leaves the range its recording
+    saw clamps exactly as the interpreted op does.
     """
     if qa.shape != qb.shape:
         qa, qb = np.broadcast_arrays(qa, qb)
-    lo, hi = engine._signed_lo, engine._signed_hi
-    if engine.fmt.overflow == "saturate":
-        if qa.size == 0 or qb.size == 0:
-            needed = False
-        else:
-            if bounds_a is None:
-                bounds_a = (int(qa.min()), int(qa.max()))
-            if bounds_b is None:
-                bounds_b = (int(qb.min()), int(qb.max()))
-            needed = (
-                bounds_a[0] + bounds_b[0] < lo or bounds_a[1] + bounds_b[1] > hi
-            )
-        if needed:
-            if not sat_recorded:
-                raise ProgramBailout("saturation")
-            out = engine.backend.add_signed(engine.mode.adder, qa, qb)
-            true = qa.astype(np.int64) + qb.astype(np.int64)
-            overflowed = (true < lo) | (true > hi)
-            if np.any(overflowed):
-                out = np.where(overflowed, np.clip(true, lo, hi), out)
-            return out
-        if engine.mode.adder.is_exact:
+    if engine.mode.adder.is_exact and engine.fmt.overflow == "saturate" and qa.size:
+        if bounds_a is None:
+            bounds_a = (int(qa.min()), int(qa.max()))
+        if bounds_b is None:
+            bounds_b = (int(qb.min()), int(qb.max()))
+        if (
+            bounds_a[0] + bounds_b[0] >= engine._signed_lo
+            and bounds_a[1] + bounds_b[1] <= engine._signed_hi
+        ):
             return engine.backend.add_words_inrange(qa, qb)
-    return engine.backend.add_signed(engine.mode.adder, qa, qb)
+    return _saturating_add(engine, qa, qb, bounds_a, bounds_b)
 
 
-def _replay_reduce(engine, q, sat_recorded):
+def _replay_reduce(engine, q):
     """Tree-reduce axis 0, bit-identical to ``_reduce_words`` sans
     charges.
 
-    Fast route: exact adder, saturating format, no saturation recorded,
-    and one O(1) proof that *every* partial sum stays in the word —
-    each intermediate is a sum of at most ``n`` of the inputs, so
-    ``n * min(min_word, 0) >= lo`` and ``n * max(max_word, 0) <= hi``
-    bound them all — fuses the whole tree into a single
-    ``np.add.reduce``: in-range exact integer addition is associative,
-    so any summation order yields bit-identical words.  Anything else
-    walks the interpreted fold exactly (same adder calls, same
-    per-level bounds carry, same clamps).
+    Fast route: exact adder, saturating format, and one O(1) proof that
+    *every* partial sum stays in the word — each intermediate is a sum
+    of at most ``n`` of the inputs, so ``n * min(min_word, 0) >= lo``
+    and ``n * max(max_word, 0) <= hi`` bound them all — fuses the whole
+    tree into a single ``np.add.reduce``: in-range exact integer
+    addition is associative, so any summation order yields
+    bit-identical words.  Anything else walks the interpreted fold
+    (:func:`~repro.arith.engine._fold`): same adder calls, same
+    per-level bounds carry, same clamps.
     """
-    if q.shape[0] <= 1:
-        return q[0]
-    saturating = engine.fmt.overflow == "saturate"
-    exact = engine.mode.adder.is_exact
-    lo_w, hi_w = engine._signed_lo, engine._signed_hi
-    if saturating and exact and not sat_recorded and q.size:
-        m0 = int(q.min())
-        m1 = int(q.max())
-        n = q.shape[0]
-        if n * min(m0, 0) >= lo_w and n * max(m1, 0) <= hi_w:
+    n = q.shape[0]
+    if n > 1 and q.size and engine.mode.adder.is_exact and engine.fmt.overflow == "saturate":
+        if (
+            n * min(int(q.min()), 0) >= engine._signed_lo
+            and n * max(int(q.max()), 0) <= engine._signed_hi
+        ):
             return engine.backend.reduce_inrange(q)
-        # Conservative proof failed; the tighter per-level walk below is
-        # still interpreted-identical, just not fused.
-    adder = engine.mode.adder
-    backend = engine.backend
-    cur = q
-    bounds = None
-    if saturating and cur.size:
-        bounds = (int(cur.min()), int(cur.max()))
-    levels = bitops.reduction_levels(q.shape[0])
-    last = len(levels) - 1
-    buf = None
-    for i, (half, odd) in enumerate(levels):
-        qa = cur[:half]
-        qb = cur[half : 2 * half]
-        out = backend.add_signed(adder, qa, qb)
-        if saturating:
-            if qa.size == 0:
-                needed = False
-            elif bounds is None:
-                b0 = (int(qa.min()), int(qa.max()))
-                b1 = (int(qb.min()), int(qb.max()))
-                needed = b0[0] + b1[0] < lo_w or b0[1] + b1[1] > hi_w
-            else:
-                needed = (
-                    bounds[0] + bounds[0] < lo_w or bounds[1] + bounds[1] > hi_w
-                )
-            if needed:
-                true = qa.astype(np.int64) + qb.astype(np.int64)
-                overflowed = (true < lo_w) | (true > hi_w)
-                if np.any(overflowed):
-                    out = np.where(overflowed, np.clip(true, lo_w, hi_w), out)
-        if odd:
-            if buf is None:
-                buf = np.empty((half + 1,) + q.shape[1:], dtype=np.int64)
-            nxt = buf[: half + 1]
-            nxt[half] = cur[2 * half]
-            nxt[:half] = out
-            cur = nxt
-        else:
-            cur = out
-        if bounds is not None and i < last:
-            if exact:
-                lo = max(bounds[0] + bounds[0], lo_w)
-                hi = min(bounds[1] + bounds[1], hi_w)
-                if odd:
-                    lo = min(lo, bounds[0])
-                    hi = max(hi, bounds[1])
-                bounds = (lo, hi)
-            else:
-                bounds = (int(cur.min()), int(cur.max()))
-    return cur[0]
+    return _fold(engine, q)
 
 
 # ----------------------------------------------------------------------
 # Compiled steps
 # ----------------------------------------------------------------------
-class _AddStep:
-    """``add`` / ``sub`` (negation folded into the b-resolver)."""
+class _Step:
+    """One compiled op: the ``kind`` and ``params`` replay matches each
+    call against, the recorded charges it defers, and whether it emits
+    residents."""
 
-    __slots__ = ("kind", "params", "charges", "sat", "res_a", "res_b", "resident")
+    __slots__ = ("kind", "params", "charges", "resident")
 
-    def __init__(self, kind, params, charges, sat, res_a, res_b):
+    def __init__(self, kind, op):
         self.kind = kind
-        self.params = params
-        self.charges = charges
-        self.sat = sat
+        self.params = op.params
+        self.charges = tuple(op.charges)
+        self.resident = op.params.get("resident", False)
+
+
+class _AddStep(_Step):
+    """``add``, or ``sub`` of a float subtrahend (negation folded into
+    the b-resolver)."""
+
+    __slots__ = ("res_a", "res_b")
+
+    def __init__(self, kind, op, res_a, res_b):
+        super().__init__(kind, op)
         self.res_a = res_a
         self.res_b = res_b
-        self.resident = params["resident"]
 
     def replay(self, engine, args):
         a, b = args
         qa, bounds_a = self.res_a(a)
         qb, bounds_b = self.res_b(b)
-        out = _replay_add_words(engine, qa, qb, bounds_a, bounds_b, self.sat)
+        out = _replay_add_words(engine, qa, qb, bounds_a, bounds_b)
         return engine._emit(out, self.resident)
 
 
-class _SubStep:
-    """``sub`` with a resident-captured subtrahend: the negate pass is
-    deferred until needed.
+class _SubStep(_AddStep):
+    """``sub`` of a resident subtrahend (a :class:`ResidentVector`, or a
+    lane group's :class:`LaneStack`): the negate pass is deferred until
+    needed.
 
     The generic ``sub`` compile folds negation into the b-resolver —
     one ``handle_overflow(-words)`` pass (clip plus allocation) per
@@ -423,16 +366,10 @@ class _SubStep:
     the negation runs here, bit-identical to the folded resolver.
     """
 
-    __slots__ = ("kind", "params", "charges", "sat", "res_a", "res_b", "resident")
+    __slots__ = ()
 
-    def __init__(self, params, charges, sat, res_a, res_b):
-        self.kind = "sub"
-        self.params = params
-        self.charges = charges
-        self.sat = sat
-        self.res_a = res_a
-        self.res_b = res_b
-        self.resident = params["resident"]
+    def __init__(self, op, res_a, res_b):
+        super().__init__("sub", op, res_a, res_b)
 
     def replay(self, engine, args):
         a, b = args
@@ -440,8 +377,7 @@ class _SubStep:
         qb, bounds_b = self.res_b(b)
         lo, hi = engine._signed_lo, engine._signed_hi
         if (
-            not self.sat
-            and bounds_b is not None
+            bounds_b is not None
             and bounds_b[0] > lo
             and engine.mode.adder.is_exact
             and engine.fmt.overflow == "saturate"
@@ -459,43 +395,47 @@ class _SubStep:
             nbounds = (-bounds_b[1], -bounds_b[0])
         else:
             nbounds = None
-        out = _replay_add_words(engine, qa, nwords, bounds_a, nbounds, self.sat)
+        out = _replay_add_words(engine, qa, nwords, bounds_a, nbounds)
         return engine._emit(out, self.resident)
 
 
-class _ScaleAddStep:
-    """``scale_add``: x + alpha*d with alpha live per call."""
+class _ScaleAddStep(_Step):
+    """``scale_add``: x + alpha*d with alpha live per call; a lane group
+    may pass one alpha per lane."""
 
-    __slots__ = ("kind", "params", "charges", "sat", "res_x", "res_d", "resident", "bufs")
+    __slots__ = ("res_x", "res_d", "lane_group", "bufs")
 
-    def __init__(self, params, charges, sat, res_x, res_d):
-        self.kind = "scale_add"
-        self.params = params
-        self.charges = charges
-        self.sat = sat
-        self.res_x = res_x
-        self.res_d = res_d
-        self.resident = params["resident"]
+    def __init__(self, engine, op, slots, lanes):
+        x, _alpha, d = op.args
+        super().__init__("scale_add", op)
+        self.res_x = _word_operand(engine, x, slots, lanes)
+        self.res_d = _float_operand(engine, d, slots, lanes)
+        self.lane_group = lanes is not None
         self.bufs: dict = {}
 
     def replay(self, engine, args):
         x, alpha, d = args
         qa, bounds_a = self.res_x(x)
         fd = self.res_d(d)
+        per_lane = self.lane_group and np.ndim(alpha) == 1
+        if per_lane:
+            # One alpha per lane row, as BatchedEngine.scale_add scales.
+            alpha = np.asarray(alpha, dtype=np.float64)
+            alpha = alpha.reshape((-1,) + (1,) * (fd.ndim - 1))
         # Fused path: with alpha live the bound is one O(n) scan per
         # call — |rint(fl(alpha*fd_i)*scale)| <= W := rint(fl(|alpha| *
         # max|fd|)*scale) (fl and rint are monotone, the power-of-two
-        # scale multiply is exact), so W <= hi proves the encode clip
-        # (and finiteness scan — a non-finite operand lands peak at
-        # NaN/inf and falls through to the checked encode, which raises
-        # exactly like the interpreted call) a no-op, and the word-
-        # bounds check proves the add in range.  Python-int arithmetic
-        # throughout: a float compare could round past the boundary.
+        # scale multiply is exact; max|alpha| bounds per-lane alphas), so
+        # W <= hi proves the encode clip (and finiteness scan — a
+        # non-finite operand lands peak at NaN/inf and falls through to
+        # the checked encode, which raises exactly like the interpreted
+        # call) a no-op, and the word-bounds check proves the add in
+        # range.  Python-int arithmetic throughout: a float compare
+        # could round past the boundary.
         if (
-            not self.sat
+            (per_lane or np.ndim(alpha) == 0)
             and fd.size
             and qa.size
-            and np.ndim(alpha) == 0
             and engine.mode.adder.is_exact
             and engine.fmt.overflow == "saturate"
             and fd.shape == qa.shape
@@ -505,7 +445,8 @@ class _ScaleAddStep:
                 # anyway; computing them here just moves the scan ahead
                 # of (and shares it with) the fusion proof.
                 bounds_a = (int(qa.min()), int(qa.max()))
-            peak = abs(float(alpha)) * float(np.abs(fd).max()) * engine.fmt.scale
+            alpha_max = float(np.abs(alpha).max()) if per_lane else abs(float(alpha))
+            peak = alpha_max * float(np.abs(fd).max()) * engine.fmt.scale
             if np.isfinite(peak):
                 w = int(np.rint(peak))
                 lo, hi = engine._signed_lo, engine._signed_hi
@@ -521,136 +462,83 @@ class _ScaleAddStep:
                     out = engine.backend.add_words_inrange(qa, qb)
                     return engine._emit(out, self.resident)
         qb = engine.fmt.encode(alpha * fd)
-        out = _replay_add_words(engine, qa, qb, bounds_a, None, self.sat)
+        out = _replay_add_words(engine, qa, qb, bounds_a, None)
         return engine._emit(out, self.resident)
 
 
-class _SumStep:
-    """``sum`` over a non-empty axis."""
+class _SumStep(_Step):
+    """``sum``; a lane group's lane axis is implicit and always survives,
+    and an empty axis reduces to the zero word.
 
-    __slots__ = (
-        "kind",
-        "params",
-        "charges",
-        "sat",
-        "rv_shape",
-        "arr_shape",
-        "scalar",
-        "axis",
-        "resident",
-    )
+    The reduce slab's leading dim is the reduced-axis length, fixed by
+    the program, while a lane group's surviving lane dim floats with
+    the active group; the tree walk depends on the leading dim alone.
+    """
 
-    def __init__(self, op):
+    __slots__ = ("res_x", "lead", "scalar", "axis")
+
+    def __init__(self, engine, op, slots, lanes):
         (x,) = op.args
-        self.kind = "sum"
-        self.params = op.params
-        self.charges = tuple(op.charges)
-        self.sat = any(op.sat)
+        super().__init__("sum", op)
+        if isinstance(x, _residents(lanes)):
+            check = _resident_check(engine, x)
+            self.res_x = lambda op: check(op).words
+        else:
+            # Re-encoded on every call, never resolved by identity: a
+            # sum's float operand is an intermediate of the iteration.
+            fresh = _fresh_floats(np.asarray(x, dtype=np.float64), lanes)
+            encode = engine.fmt.encode
+            self.res_x = lambda op: encode(fresh(op))
+        self.lead = 0 if lanes is None else 1
         axis = op.params["axis"]
         self.scalar = axis is None
-        self.axis = 0 if self.scalar else axis
-        self.resident = op.params["resident"]
-        if isinstance(x, ResidentVector):
-            self.rv_shape = x.words.shape
-            self.arr_shape = None
+        if self.scalar:
+            self.axis = self.lead
         else:
-            self.rv_shape = None
-            self.arr_shape = np.asarray(x, dtype=np.float64).shape
-
-    def _words(self, engine, x):
-        if self.rv_shape is not None:
-            if (
-                not isinstance(x, ResidentVector)
-                or x.fmt != engine.fmt
-                or x.words.shape != self.rv_shape
-            ):
-                raise ProgramBailout("operand")
-            return x.words
-        if isinstance(x, ResidentVector):
-            raise ProgramBailout("operand")
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.shape != self.arr_shape:
-            raise ProgramBailout("shape")
-        return engine.fmt.encode(arr)
+            # Lane-group axes index each lane's shape.
+            self.axis = axis + self.lead if axis >= 0 else axis
 
     def replay(self, engine, args):
         (x,) = args
-        q = self._words(engine, x)
+        q = self.res_x(x)
+        axis = self.axis
         if self.scalar:
-            q = q.reshape(-1)
-        reduced = _replay_reduce(engine, np.moveaxis(q, self.axis, 0), self.sat)
+            q = q.reshape(q.shape[: self.lead] + (-1,))
+        if q.shape[axis] == 0:
+            zeros = np.zeros(tuple(np.delete(q.shape, axis)))
+            if self.scalar:
+                return zeros if self.lead else float(zeros)
+            return engine._emit(engine.fmt.encode(zeros), self.resident)
+        reduced = _replay_reduce(engine, np.moveaxis(q, axis, 0))
         if self.scalar:
-            return float(engine.fmt.decode(reduced))
+            out = engine.fmt.decode(reduced)
+            return out if self.lead else float(out)
         return engine._emit(reduced, self.resident)
 
 
-class _ZeroSumStep:
-    """``sum`` over an empty axis: the structural zero output."""
+class _DotStep(_Step):
+    """``dot``: exact products, approximate accumulation, scalar out.
 
-    __slots__ = ("kind", "params", "charges", "rv_shape", "arr_shape", "scalar", "out_words", "resident")
+    Solo only in practice: a lane group's ``dot`` is not hooked and
+    funnels into its hooked ``sum``.
+    """
 
-    def __init__(self, engine, op, slots, qshape, axis):
-        (x,) = op.args
-        self.kind = "sum"
-        self.params = op.params
-        self.charges = tuple(op.charges)
-        self.scalar = op.params["axis"] is None
-        self.resident = op.params["resident"]
-        if isinstance(x, ResidentVector):
-            self.rv_shape = x.words.shape
-            self.arr_shape = None
-        else:
-            self.rv_shape = None
-            self.arr_shape = np.asarray(x, dtype=np.float64).shape
-        out = np.zeros(np.delete(qshape, axis))
-        self.out_words = engine.fmt.encode(out)
+    __slots__ = ("res_a", "res_b")
 
-    def replay(self, engine, args):
-        (x,) = args
-        if self.rv_shape is not None:
-            if (
-                not isinstance(x, ResidentVector)
-                or x.fmt != engine.fmt
-                or x.words.shape != self.rv_shape
-            ):
-                raise ProgramBailout("operand")
-        else:
-            if isinstance(x, ResidentVector):
-                raise ProgramBailout("operand")
-            arr = np.asarray(x, dtype=np.float64)
-            if arr.shape != self.arr_shape:
-                raise ProgramBailout("shape")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(_NONFINITE_MSG)
-        if self.scalar:
-            return 0.0
-        return engine._emit(self.out_words, self.resident)
-
-
-class _DotStep:
-    """``dot``: exact products, approximate accumulation, scalar out."""
-
-    __slots__ = ("kind", "params", "charges", "sat", "res_a", "res_b", "n")
-
-    def __init__(self, engine, op, slots):
+    def __init__(self, engine, op, slots, lanes):
         a, b = op.args
-        self.kind = "dot"
-        self.params = op.params
-        self.charges = tuple(op.charges)
-        self.sat = any(op.sat)
-        self.res_a = _float_operand(engine, a, slots)
-        self.res_b = _float_operand(engine, b, slots)
-        self.n = engine._to_float(a).size
+        super().__init__("dot", op)
+        self.res_a = _float_operand(engine, a, slots, lanes)
+        self.res_b = _float_operand(engine, b, slots, lanes)
 
     def replay(self, engine, args):
         a, b = args
         fa = self.res_a(a).reshape(-1)
         fb = self.res_b(b).reshape(-1)
         q = engine.fmt.encode(fa * fb)
-        if self.n == 0:
+        if not q.size:
             return 0.0
-        reduced = _replay_reduce(engine, q, self.sat)
-        return float(engine.fmt.decode(reduced))
+        return float(engine.fmt.decode(_replay_reduce(engine, q)))
 
 
 def _trusted_encode(engine, product, varying, abs_max):
@@ -675,7 +563,7 @@ def _trusted_encode(engine, product, varying, abs_max):
     return engine.fmt.encode(product)
 
 
-def _fused_product_ok(engine, step, abs_max, varying, n) -> bool:
+def _fused_product_ok(engine, abs_max, varying, n) -> bool:
     """Whether a product-encode-reduce may run fully fused (clip-free
     single-pass) through :meth:`KernelBackend.product_reduce_words`.
 
@@ -693,14 +581,14 @@ def _fused_product_ok(engine, step, abs_max, varying, n) -> bool:
     association) in float64's integer-exact range, licensing the
     kernel to fold the integer-valued *float* buffer directly —
     automatic for word widths up to 53 bits, checked so wider formats
-    fall back rather than round.
+    fall back rather than round.  The proof covers the call it is made
+    for, whatever the recording saw.
     Any failure — including a non-finite ``varying``, where the
     unfused path reproduces the interpreted raise/checked-encode
     behavior exactly — falls back to the unfused replay.
     """
     if (
-        step.sat
-        or abs_max is None
+        abs_max is None
         or not varying.size
         or not engine.mode.adder.is_exact
         or engine.fmt.overflow != "saturate"
@@ -714,85 +602,86 @@ def _fused_product_ok(engine, step, abs_max, varying, n) -> bool:
     return w <= hi and n * w <= hi and n * w < (1 << 53)
 
 
-class _MatvecStep:
-    """``matvec``: exact row products, approximate row accumulation."""
+class _MatvecStep(_Step):
+    """``matvec``: exact row products, approximate row accumulation — of
+    one vector, or of a lane group's ``(L, N)`` stack against the shared
+    matrix.  Products run ``mat * x[..., newaxis, :]`` and reduce their
+    last axis either way."""
 
-    __slots__ = ("kind", "params", "charges", "sat", "res_mat", "res_vec", "rows", "cols", "zero_words", "resident", "bufs")
+    __slots__ = ("res_mat", "res_vec", "lead", "order", "bufs")
 
-    def __init__(self, engine, op, slots):
+    def __init__(self, engine, op, slots, lanes):
         matrix, vector = op.args
-        self.kind = "matvec"
-        self.params = op.params
-        self.charges = tuple(op.charges)
-        self.sat = any(op.sat)
-        self.resident = op.params["resident"]
+        super().__init__("matvec", op)
         self.res_mat = _matrix_operand(engine, matrix, slots)
-        self.res_vec = _float_operand(engine, vector, slots)
-        mat = np.asarray(matrix, dtype=np.float64)
-        self.rows, self.cols = mat.shape
-        self.zero_words = (
-            engine.fmt.encode(np.zeros(self.rows)) if self.cols == 0 else None
-        )
+        self.res_vec = _float_operand(engine, vector, slots, lanes)
+        self.lead = 0 if lanes is None else 1
+        # The reduced (last) product axis first, the others in order.
+        self.order = (self.lead + 1,) + tuple(range(self.lead + 1))
         self.bufs: dict = {}
 
     def replay(self, engine, args):
         matrix, vector = args
         mat, abs_max = self.res_mat(matrix)
-        vec = self.res_vec(vector).reshape(-1)
-        if self.cols == 0:
-            return engine._emit(self.zero_words, self.resident)
-        if _fused_product_ok(engine, self, abs_max, vec, self.cols):
+        x = self.res_vec(vector)
+        if not self.lead:
+            x = x.reshape(-1)
+        cols = mat.shape[1]
+        if cols == 0:
+            zeros = np.zeros(x.shape[:-1] + mat.shape[:1])
+            return engine._emit(engine.fmt.encode(zeros), self.resident)
+        x = x[..., np.newaxis, :]
+        if _fused_product_ok(engine, abs_max, x, cols):
             reduced = engine.backend.product_reduce_words(
-                mat, vec[np.newaxis, :], engine.fmt.scale, 1, self.bufs
+                mat, x, engine.fmt.scale, -1, self.bufs
             )
             return engine._emit(reduced, self.resident)
-        product = mat * vec[np.newaxis, :]
-        q = _trusted_encode(engine, product, vec, abs_max)
-        reduced = _replay_reduce(engine, q.T, self.sat)
+        q = _trusted_encode(engine, mat * x, x, abs_max)
+        reduced = _replay_reduce(engine, q.transpose(self.order))
         return engine._emit(reduced, self.resident)
 
 
-class _WeightedSumStep:
-    """``weighted_sum``: exact scaling, approximate accumulation."""
+class _WeightedSumStep(_Step):
+    """``weighted_sum``: exact scaling, approximate accumulation — of one
+    weight vector, or of a lane group's ``(L, n)`` weights over the
+    shared points.  Products run ``w[..., newaxis] * pts`` and reduce
+    the points axis: axis 0 solo, 1 in a lane group."""
 
-    __slots__ = ("kind", "params", "charges", "sat", "res_w", "res_pts", "n", "zero_words", "resident", "bufs")
+    __slots__ = ("res_w", "res_pts", "lead", "bufs")
 
-    def __init__(self, engine, op, slots):
+    def __init__(self, engine, op, slots, lanes):
         weights, points = op.args
-        self.kind = "weighted_sum"
-        self.params = op.params
-        self.charges = tuple(op.charges)
-        self.sat = any(op.sat)
-        self.resident = op.params["resident"]
-        self.res_w = _float_operand(engine, weights, slots)
+        super().__init__("weighted_sum", op)
+        self.res_w = _float_operand(engine, weights, slots, lanes)
         self.res_pts = _matrix_operand(engine, points, slots)
-        pts = np.asarray(points, dtype=np.float64)
-        self.n = pts.shape[0]
-        self.zero_words = (
-            engine.fmt.encode(np.zeros(pts.shape[1:])) if self.n == 0 else None
-        )
+        self.lead = 0 if lanes is None else 1
         self.bufs: dict = {}
 
     def replay(self, engine, args):
         weights, points = args
-        w = self.res_w(weights).reshape(-1)
+        w = self.res_w(weights)
+        if not self.lead:
+            w = w.reshape(-1)
         pts, abs_max = self.res_pts(points)
-        if self.n == 0:
-            return engine._emit(self.zero_words, self.resident)
-        if _fused_product_ok(engine, self, abs_max, w, self.n):
+        n = pts.shape[0]
+        if n == 0:
+            zeros = np.zeros(w.shape[:-1] + pts.shape[1:])
+            return engine._emit(engine.fmt.encode(zeros), self.resident)
+        w = w[..., np.newaxis]
+        if _fused_product_ok(engine, abs_max, w, n):
             reduced = engine.backend.product_reduce_words(
-                w[:, np.newaxis], pts, engine.fmt.scale, 0, self.bufs
+                w, pts, engine.fmt.scale, self.lead, self.bufs
             )
             return engine._emit(reduced, self.resident)
-        product = w[:, np.newaxis] * pts
-        q = _trusted_encode(engine, product, w, abs_max)
-        reduced = _replay_reduce(engine, q, self.sat)
+        q = _trusted_encode(engine, w * pts, w, abs_max)
+        reduced = _replay_reduce(engine, q.swapaxes(0, self.lead))
         return engine._emit(reduced, self.resident)
 
 
-class _SparseMatvecStep:
+class _SparseMatvecStep(_Step):
     """Sparse ``matvec`` / ``weighted_sum``: exact products over the
-    stored entries only, approximate per-row segment accumulation.
+    stored entries only, approximate per-row segment accumulation, of
+    one vector or a lane group's ``(L, N)`` stack.
 
     The sparse operand resolves by identity alone: the segment plan is
     a function of the CSR ``indptr``, so — unlike the dense
@@ -807,35 +696,23 @@ class _SparseMatvecStep:
     nnz bound: with ``W`` bounding every encoded product word,
     ``nnz_max * W <= hi`` and ``nnz_max * W < 2**53`` bound every
     partial sum of every row's segment, licensing the fused
-    single-pass :meth:`~repro.backends.base.KernelBackend.csr_matvec_words`.
-    Otherwise the products fold through the interpreted engines' own
-    level-ordered, chunked :func:`~repro.arith.engine._reduce_csr_rows`,
-    and the step keeps its recorded charges.  A recorded ``sat`` flag is
-    the OR of that fold's per-chunk prechecks.
+    single-pass :meth:`~repro.backends.base.KernelBackend.csr_matvec_words`
+    over the matrix's own kernel scratch, which every program compiled
+    over that matrix shares.  Otherwise the products fold through the
+    interpreted engines' own level-ordered, chunked
+    :func:`~repro.arith.engine._reduce_csr_rows`, whose schedule does
+    not depend on the lane count, and the step keeps its recorded
+    charges.
     """
 
-    __slots__ = (
-        "kind",
-        "params",
-        "charges",
-        "sat",
-        "obj",
-        "sp",
-        "res_vec",
-        "resident",
-        "bufs",
-    )
+    __slots__ = ("obj", "sp", "res_vec", "lead")
 
-    def __init__(self, engine, op, slots, kind, operand, vec_arg, sp):
-        self.kind = kind
-        self.params = op.params
-        self.charges = tuple(op.charges)
-        self.sat = any(op.sat)
-        self.resident = op.params["resident"]
+    def __init__(self, engine, op, slots, lanes, kind, operand, vec_arg, sp):
+        super().__init__(kind, op)
         self.obj = operand
         self.sp = sp
-        self.res_vec = _float_operand(engine, vec_arg, slots)
-        self.bufs: dict = {}
+        self.res_vec = _float_operand(engine, vec_arg, slots, lanes)
+        self.lead = 0 if lanes is None else 1
 
     def replay(self, engine, args):
         if self.kind == "matvec":
@@ -845,12 +722,12 @@ class _SparseMatvecStep:
         if operand is not self.obj:
             raise ProgramBailout("operand")
         sp = self.sp
-        vec = self.res_vec(vec_arg).reshape(-1)
-        if sp.nnz_max and _fused_product_ok(
-            engine, self, sp.abs_max, vec, sp.nnz_max
-        ):
+        vec = self.res_vec(vec_arg)
+        if not self.lead:
+            vec = vec.reshape(-1)
+        if sp.nnz_max and _fused_product_ok(engine, sp.abs_max, vec, sp.nnz_max):
             out = engine.backend.csr_matvec_words(
-                sp.data, sp.indices, sp.indptr, vec, engine.fmt.scale, self.bufs
+                sp.data, sp.indices, sp.indptr, vec, engine.fmt.scale, sp._kernel_bufs
             )
             return engine._emit(out, self.resident)
         out = _reduce_csr_rows(engine, sp.row_plan(), _csr_product_words(engine, sp, vec))
@@ -860,99 +737,58 @@ class _SparseMatvecStep:
 class _RecordedOp:
     """One top-level engine call as seen while recording."""
 
-    __slots__ = ("kind", "args", "params", "charges", "sat")
+    __slots__ = ("kind", "args", "params", "charges")
 
     def __init__(self, kind, args, params):
         self.kind = kind
         self.args = args
         self.params = params
         self.charges: list[tuple[str, int, float]] = []
-        self.sat: list[bool] = []
 
 
-def _compile_add(engine, op, slots):
+def _compile_add(engine, op, slots, lanes):
     a, b = op.args
     return _AddStep(
         "add",
-        op.params,
-        tuple(op.charges),
-        any(op.sat),
-        _word_operand(engine, a, slots),
-        _word_operand(engine, b, slots),
+        op,
+        _word_operand(engine, a, slots, lanes),
+        _word_operand(engine, b, slots, lanes),
     )
 
 
-def _compile_sub(engine, op, slots):
+def _compile_sub(engine, op, slots, lanes):
     a, b = op.args
-    if isinstance(b, ResidentVector):
+    res_a = _word_operand(engine, a, slots, lanes)
+    if isinstance(b, _residents(lanes)):
         # Resident subtrahend: resolve positive words so the in-range
         # proof can skip the negate pass entirely (see _SubStep).
-        return _SubStep(
-            op.params,
-            tuple(op.charges),
-            any(op.sat),
-            _word_operand(engine, a, slots),
-            _word_operand(engine, b, slots),
-        )
-    return _AddStep(
-        "sub",
-        op.params,
-        tuple(op.charges),
-        any(op.sat),
-        _word_operand(engine, a, slots),
-        _word_operand(engine, b, slots, negate=True),
-    )
+        return _SubStep(op, res_a, _word_operand(engine, b, slots, lanes))
+    return _AddStep("sub", op, res_a, _word_operand(engine, b, slots, lanes, negate=True))
 
 
-def _compile_scale_add(engine, op, slots):
-    x, _alpha, d = op.args
-    return _ScaleAddStep(
-        op.params,
-        tuple(op.charges),
-        any(op.sat),
-        _word_operand(engine, x, slots),
-        _float_operand(engine, d, slots),
-    )
-
-
-def _compile_sum(engine, op, slots):
-    (x,) = op.args
-    axis = op.params["axis"]
-    if isinstance(x, ResidentVector):
-        qshape = x.words.shape
-    else:
-        qshape = np.asarray(x, dtype=np.float64).shape
-    if axis is None:
-        qshape = (int(np.prod(qshape)),)
-        eff_axis = 0
-    else:
-        eff_axis = axis
-    if qshape[eff_axis] == 0:
-        return _ZeroSumStep(engine, op, slots, qshape, eff_axis)
-    return _SumStep(op)
-
-
-def _compile_matvec(engine, op, slots):
+def _compile_matvec(engine, op, slots, lanes):
     matrix, vector = op.args
     if isinstance(matrix, SparseResidentMatrix):
-        return _SparseMatvecStep(engine, op, slots, "matvec", matrix, vector, matrix)
-    return _MatvecStep(engine, op, slots)
+        return _SparseMatvecStep(engine, op, slots, lanes, "matvec", matrix, vector, matrix)
+    return _MatvecStep(engine, op, slots, lanes)
 
 
-def _compile_weighted_sum(engine, op, slots):
+def _compile_weighted_sum(engine, op, slots, lanes):
     weights, points = op.args
     if isinstance(points, SparseResidentMatrix):
         return _SparseMatvecStep(
-            engine, op, slots, "weighted_sum", points, weights, points.transpose()
+            engine, op, slots, lanes, "weighted_sum", points, weights, points.transpose()
         )
-    return _WeightedSumStep(engine, op, slots)
+    return _WeightedSumStep(engine, op, slots, lanes)
 
 
+#: One compiler per op kind, ``(engine, op, slots, lanes) -> step``,
+#: for both program engines.
 _COMPILERS = {
     "add": _compile_add,
     "sub": _compile_sub,
-    "scale_add": _compile_scale_add,
-    "sum": _compile_sum,
+    "scale_add": _ScaleAddStep,
+    "sum": _SumStep,
     "dot": _DotStep,
     "matvec": _compile_matvec,
     "weighted_sum": _compile_weighted_sum,
@@ -991,14 +827,11 @@ class ProgramRecorder:
         if self._open is not None:
             self._open.charges.append((mode_name, n_adds, energy_per_add))
 
-    def on_saturation(self, needed: bool) -> None:
-        if self._open is not None:
-            self._open.sat.append(bool(needed))
-
-    def finalize(self, engine, slots) -> IterationProgram:
-        """Compile the recorded ops against the end-of-iteration slots."""
+    def finalize(self, engine, slots, lanes) -> IterationProgram:
+        """Compile the recorded ops against the end-of-iteration slots,
+        for the lane count the recording ran on (``None`` solo)."""
         return IterationProgram(
-            _COMPILERS[op.kind](engine, op, slots) for op in self.ops
+            _COMPILERS[op.kind](engine, op, slots, lanes) for op in self.ops
         )
 
 
@@ -1163,14 +996,6 @@ class _ProgramCapture:
             return True
         return False
 
-    def _saturation_needed(self, *args):
-        needed = super()._saturation_needed(*args)
-        if self._pstate is _RECORD:
-            recorder = self._recorder
-            if recorder is not None:
-                recorder.on_saturation(needed)
-        return needed
-
     def _dispatch(self, kind, args, params):
         if self._pstate is _RECORD:
             recorder = self._recorder
@@ -1264,7 +1089,7 @@ class ProgramEngine(_ProgramCapture, ApproxEngine):
         return self._close_window()
 
     def _compile(self, recorder):
-        return recorder.finalize(self, self._slots)
+        return recorder.finalize(self, self._slots, None)
 
     def _flush(self, pending):
         self.ledger.charge_many(pending)
@@ -1342,480 +1167,12 @@ class ProgramEngine(_ProgramCapture, ApproxEngine):
 # A lock-step lane group walks the *same* op structure every iteration:
 # the only thing that changes between iterations — or between lane-group
 # compositions, as lanes converge out of the active set — is the leading
-# lane dimension of the stacked operands.  The batched resolvers below
-# therefore validate lane-stacked operands on their *trailing* (per-
-# lane) dims only, which is what lets one captured program replay across
-# a shrinking lane group without re-capture: the program is a property
-# of the (solver, mode) pair, not of the lane count.
-#
-# Replay arithmetic is shared with the solo path: ``_replay_add_words``
-# and ``_replay_reduce`` are shape-agnostic (the adders are elementwise
-# and the tree geometry depends only on the reduced-axis length).  The
-# per-lane bound arrays a ``LaneStack`` carries collapse to their global
-# (min-over-lanes, max-over-lanes) envelope first — the interpreted
-# batched precheck is already global any-lane, and a conservative
-# precheck can only trigger the true-sum recompute more often, never
-# change the emitted words.
-#
-# Charges are recorded as lane-count-independent
-# ``(mode, adds_per_lane, energy_per_add)`` tuples and flushed at
-# ``end_iteration`` through one ordered
-# :meth:`~repro.arith.engine.BatchedEnergyLedger.charge_many_lanes`
-# call over the lanes the iteration ran on — per-lane accumulation
-# order matches the interpreted batched run (and hence the solo oracle)
-# addition for addition.
-
-
-def _b_word_operand(engine, operand, slots, lanes, negate=False):
-    """Compile a lane-aware resolver: operand -> ``(words, bounds)``.
-
-    The batched analogue of :func:`_word_operand` with two differences:
-    a :class:`LaneStack` takes the role of :class:`ResidentVector` for
-    lane-stacked residents, and any operand whose leading dim equalled
-    the capture-time lane count is validated on trailing dims only (so
-    the program survives active-set shrinkage).  Bounds collapse to the
-    scalar global envelope (sound: see module notes above).
-    """
-    fmt = engine.fmt
-    signed_lo = engine._signed_lo
-    if isinstance(operand, LaneStack):
-        trail = operand.words.shape[1:]
-        ndim = operand.words.ndim
-
-        def resolve(op):
-            if (
-                not isinstance(op, LaneStack)
-                or op.fmt != fmt
-                or op.words.ndim != ndim
-                or op.words.shape[1:] != trail
-            ):
-                raise ProgramBailout("operand")
-            bounds = op.lane_bounds()
-            if negate:
-                words = fmt.handle_overflow(-op.words)
-                if bounds is not None and bool(np.all(bounds[0] > signed_lo)):
-                    return words, (-int(bounds[1].max()), -int(bounds[0].min()))
-                return words, None
-            if bounds is None:
-                return op.words, None
-            return op.words, (int(bounds[0].min()), int(bounds[1].max()))
-
-        return resolve
-    if isinstance(operand, ResidentVector):
-        # Lane-shared resident: identical semantics to the solo path.
-        return _word_operand(engine, operand, slots, negate=negate)
-
-    arr = np.asarray(operand, dtype=np.float64)
-    lane_stacked = arr.ndim >= 1 and arr.shape[0] == lanes
-    shape = arr.shape
-    trail = arr.shape[1:]
-    ndim = arr.ndim
-
-    encode = _negated_encode(fmt) if negate else fmt.encode
-
-    def check_shape(a):
-        if lane_stacked:
-            if a.ndim != ndim or a.shape[1:] != trail:
-                raise ProgramBailout("shape")
-        elif a.shape != shape:
-            raise ProgramBailout("shape")
-
-    if _is_slot(operand, arr, slots):
-
-        def resolve(op):
-            if isinstance(op, (LaneStack, ResidentVector)):
-                raise ProgramBailout("operand")
-            a = np.asarray(op, dtype=np.float64)
-            check_shape(a)
-            return encode(a), None
-
-        return resolve
-
-    obj = operand if isinstance(operand, np.ndarray) else arr
-    words = encode(arr)
-    bounds = (int(words.min()), int(words.max())) if words.size else None
-
-    def resolve(op):
-        if op is obj:
-            return words, bounds
-        if isinstance(op, (LaneStack, ResidentVector)):
-            raise ProgramBailout("operand")
-        a = np.asarray(op, dtype=np.float64)
-        check_shape(a)
-        return encode(a), None
-
-    return resolve
-
-
-def _b_float_operand(engine, operand, slots, lanes):
-    """Compile a lane-aware resolver: operand -> float array."""
-    fmt = engine.fmt
-    if isinstance(operand, LaneStack):
-        trail = operand.words.shape[1:]
-        ndim = operand.words.ndim
-
-        def resolve(op):
-            if (
-                not isinstance(op, LaneStack)
-                or op.fmt != fmt
-                or op.words.ndim != ndim
-                or op.words.shape[1:] != trail
-            ):
-                raise ProgramBailout("operand")
-            return op.decode()
-
-        return resolve
-    if isinstance(operand, ResidentVector):
-        return _float_operand(engine, operand, slots)
-
-    arr = np.asarray(operand, dtype=np.float64)
-    lane_stacked = arr.ndim >= 1 and arr.shape[0] == lanes
-    shape = arr.shape
-    trail = arr.shape[1:]
-    ndim = arr.ndim
-
-    def check_shape(a):
-        if lane_stacked:
-            if a.ndim != ndim or a.shape[1:] != trail:
-                raise ProgramBailout("shape")
-        elif a.shape != shape:
-            raise ProgramBailout("shape")
-
-    if _is_slot(operand, arr, slots):
-
-        def resolve(op):
-            if isinstance(op, (LaneStack, ResidentVector)):
-                raise ProgramBailout("operand")
-            a = np.asarray(op, dtype=np.float64)
-            check_shape(a)
-            return a
-
-        return resolve
-
-    obj = operand if isinstance(operand, np.ndarray) else arr
-
-    def resolve(op):
-        if op is obj:
-            return arr
-        if isinstance(op, (LaneStack, ResidentVector)):
-            raise ProgramBailout("operand")
-        a = np.asarray(op, dtype=np.float64)
-        check_shape(a)
-        return a
-
-    return resolve
-
-
-class _BScaleAddStep:
-    """Batched ``scale_add``: per-lane alpha broadcast, alpha live."""
-
-    __slots__ = ("kind", "params", "charges", "sat", "res_x", "res_d", "resident")
-
-    def __init__(self, params, charges, sat, res_x, res_d):
-        self.kind = "scale_add"
-        self.params = params
-        self.charges = charges
-        self.sat = sat
-        self.res_x = res_x
-        self.res_d = res_d
-        self.resident = params["resident"]
-
-    def replay(self, engine, args):
-        x, alpha, d = args
-        qa, bounds_a = self.res_x(x)
-        df = self.res_d(d)
-        alpha = np.asarray(alpha, dtype=np.float64)
-        if alpha.ndim == 1:
-            alpha = alpha.reshape((-1,) + (1,) * (df.ndim - 1))
-        qb = engine.fmt.encode(alpha * df)
-        out = _replay_add_words(engine, qa, qb, bounds_a, None, self.sat)
-        return engine._emit(out, self.resident)
-
-
-class _BSumStep:
-    """Batched ``sum``: the lane axis is implicit and always survives.
-
-    The reduce slab's leading dim is the per-lane reduced-axis length —
-    fixed by the program — while the surviving lane dim floats with the
-    active group; the tree walk depends on the leading dim alone.
-    """
-
-    __slots__ = (
-        "kind",
-        "params",
-        "charges",
-        "sat",
-        "is_stack",
-        "trail",
-        "scalar",
-        "axis",
-        "resident",
-    )
-
-    def __init__(self, op, lanes):
-        (x,) = op.args
-        self.kind = "sum"
-        self.params = op.params
-        self.charges = tuple(op.charges)
-        self.sat = any(op.sat)
-        self.resident = op.params["resident"]
-        axis = op.params["axis"]
-        self.scalar = axis is None
-        if isinstance(x, LaneStack):
-            self.is_stack = True
-            self.trail = x.words.shape[1:]
-        else:
-            self.is_stack = False
-            self.trail = np.asarray(x, dtype=np.float64).shape[1:]
-        if not self.scalar:
-            if axis < 0:
-                axis += len(self.trail)
-        self.axis = axis
-
-    def replay(self, engine, args):
-        (x,) = args
-        if self.is_stack:
-            if (
-                not isinstance(x, LaneStack)
-                or x.fmt != engine.fmt
-                or x.words.shape[1:] != self.trail
-            ):
-                raise ProgramBailout("operand")
-            q = x.words
-        else:
-            if isinstance(x, (LaneStack, ResidentVector)):
-                raise ProgramBailout("operand")
-            arr = np.asarray(x, dtype=np.float64)
-            if arr.shape[1:] != self.trail:
-                raise ProgramBailout("shape")
-            q = engine.fmt.encode(arr)
-        if self.scalar:
-            q = q.reshape(q.shape[0], -1)
-            red_axis = 1
-        else:
-            red_axis = self.axis + 1
-        if q.shape[red_axis] == 0:
-            out = np.zeros(tuple(np.delete(q.shape, red_axis)))
-            if self.scalar:
-                return out.reshape(q.shape[0])
-            return engine._emit(engine.fmt.encode(out), self.resident)
-        reduced = _replay_reduce(engine, np.moveaxis(q, red_axis, 0), self.sat)
-        if self.scalar:
-            return engine.fmt.decode(reduced)
-        return engine._emit(reduced, self.resident)
-
-
-class _BMatvecStep:
-    """Batched ``matvec``: shared matrix × ``(L, N)`` iterate stack."""
-
-    __slots__ = ("kind", "params", "charges", "sat", "res_mat", "res_vec", "rows", "cols", "resident", "bufs")
-
-    def __init__(self, engine, op, slots, lanes):
-        matrix, vector = op.args
-        self.kind = "matvec"
-        self.params = op.params
-        self.charges = tuple(op.charges)
-        self.sat = any(op.sat)
-        self.resident = op.params["resident"]
-        self.res_mat = _matrix_operand(engine, matrix, slots)
-        self.res_vec = _b_float_operand(engine, vector, slots, lanes)
-        mat = np.asarray(matrix, dtype=np.float64)
-        self.rows, self.cols = mat.shape
-        self.bufs: dict = {}
-
-    def replay(self, engine, args):
-        matrix, vector = args
-        mat, abs_max = self.res_mat(matrix)
-        xs = self.res_vec(vector)
-        if self.cols == 0:
-            zeros = engine.fmt.encode(np.zeros((xs.shape[0], self.rows)))
-            return engine._emit(zeros, self.resident)
-        if _fused_product_ok(engine, self, abs_max, xs, self.cols):
-            reduced = engine.backend.product_reduce_words(
-                mat[np.newaxis, :, :],
-                xs[:, np.newaxis, :],
-                engine.fmt.scale,
-                2,
-                self.bufs,
-            )
-            return engine._emit(reduced, self.resident)
-        products = mat[np.newaxis, :, :] * xs[:, np.newaxis, :]
-        q = _trusted_encode(engine, products, xs, abs_max)
-        reduced = _replay_reduce(engine, np.moveaxis(q, 2, 0), self.sat)
-        return engine._emit(reduced, self.resident)
-
-
-class _BWeightedSumStep:
-    """Batched ``weighted_sum``: per-lane weights × shared points."""
-
-    __slots__ = ("kind", "params", "charges", "sat", "res_w", "res_pts", "n", "resident", "bufs")
-
-    def __init__(self, engine, op, slots, lanes):
-        weights, points = op.args
-        self.kind = "weighted_sum"
-        self.params = op.params
-        self.charges = tuple(op.charges)
-        self.sat = any(op.sat)
-        self.resident = op.params["resident"]
-        self.res_w = _b_float_operand(engine, weights, slots, lanes)
-        self.res_pts = _matrix_operand(engine, points, slots)
-        pts = np.asarray(points, dtype=np.float64)
-        self.n = pts.shape[0]
-        self.bufs: dict = {}
-
-    def replay(self, engine, args):
-        weights, points = args
-        w = self.res_w(weights)
-        pts, abs_max = self.res_pts(points)
-        if self.n == 0:
-            zeros = engine.fmt.encode(
-                np.zeros((w.shape[0],) + pts.shape[1:])
-            )
-            return engine._emit(zeros, self.resident)
-        if _fused_product_ok(engine, self, abs_max, w, self.n):
-            reduced = engine.backend.product_reduce_words(
-                w[:, :, np.newaxis],
-                pts[np.newaxis, :, :],
-                engine.fmt.scale,
-                1,
-                self.bufs,
-            )
-            return engine._emit(reduced, self.resident)
-        products = w[:, :, np.newaxis] * pts[np.newaxis, :, :]
-        q = _trusted_encode(engine, products, w, abs_max)
-        reduced = _replay_reduce(engine, np.moveaxis(q, 1, 0), self.sat)
-        return engine._emit(reduced, self.resident)
-
-
-class _BSparseMatvecStep:
-    """Batched sparse ``matvec`` / ``weighted_sum``: shared CSR operand
-    × ``(L, N)`` stack, per-row segment accumulation per lane.
-
-    Identity-only operand resolution, as in the solo
-    :class:`_SparseMatvecStep`.  The fused route runs the fused CSR
-    kernel over the whole stack at once; otherwise the ``(B, nnz)``
-    product stack folds through
-    :func:`~repro.arith.engine._reduce_csr_rows`, whose schedule does
-    not depend on the lane count (only its chunks split across lanes),
-    so the active lane group may shrink between replays.
-    """
-
-    __slots__ = (
-        "kind",
-        "params",
-        "charges",
-        "sat",
-        "obj",
-        "sp",
-        "res_vec",
-        "resident",
-        "bufs",
-    )
-
-    def __init__(self, engine, op, slots, lanes, kind, operand, vec_arg, sp):
-        self.kind = kind
-        self.params = op.params
-        self.charges = tuple(op.charges)
-        self.sat = any(op.sat)
-        self.resident = op.params["resident"]
-        self.obj = operand
-        self.sp = sp
-        self.res_vec = _b_float_operand(engine, vec_arg, slots, lanes)
-        self.bufs: dict = {}
-
-    def replay(self, engine, args):
-        if self.kind == "matvec":
-            operand, vec_arg = args
-        else:
-            vec_arg, operand = args
-        if operand is not self.obj:
-            raise ProgramBailout("operand")
-        sp = self.sp
-        xs = self.res_vec(vec_arg)
-        if sp.nnz_max and _fused_product_ok(
-            engine, self, sp.abs_max, xs, sp.nnz_max
-        ):
-            out = engine.backend.csr_matvec_words(
-                sp.data, sp.indices, sp.indptr, xs, engine.fmt.scale, self.bufs
-            )
-            return engine._emit(out, self.resident)
-        out = _reduce_csr_rows(engine, sp.row_plan(), _csr_product_words(engine, sp, xs))
-        return engine._emit(out, self.resident)
-
-
-def _b_compile_add(engine, op, slots, lanes):
-    a, b = op.args
-    return _AddStep(
-        "add",
-        op.params,
-        tuple(op.charges),
-        any(op.sat),
-        _b_word_operand(engine, a, slots, lanes),
-        _b_word_operand(engine, b, slots, lanes),
-    )
-
-
-def _b_compile_sub(engine, op, slots, lanes):
-    a, b = op.args
-    return _AddStep(
-        "sub",
-        op.params,
-        tuple(op.charges),
-        any(op.sat),
-        _b_word_operand(engine, a, slots, lanes),
-        _b_word_operand(engine, b, slots, lanes, negate=True),
-    )
-
-
-def _b_compile_scale_add(engine, op, slots, lanes):
-    x, _alpha, d = op.args
-    return _BScaleAddStep(
-        op.params,
-        tuple(op.charges),
-        any(op.sat),
-        _b_word_operand(engine, x, slots, lanes),
-        _b_float_operand(engine, d, slots, lanes),
-    )
-
-
-def _b_compile_sum(engine, op, slots, lanes):
-    return _BSumStep(op, lanes)
-
-
-def _b_compile_matvec(engine, op, slots, lanes):
-    matrix, vector = op.args
-    if isinstance(matrix, SparseResidentMatrix):
-        return _BSparseMatvecStep(
-            engine, op, slots, lanes, "matvec", matrix, vector, matrix
-        )
-    return _BMatvecStep(engine, op, slots, lanes)
-
-
-def _b_compile_weighted_sum(engine, op, slots, lanes):
-    weights, points = op.args
-    if isinstance(points, SparseResidentMatrix):
-        return _BSparseMatvecStep(
-            engine, op, slots, lanes, "weighted_sum", points, weights,
-            points.transpose(),
-        )
-    return _BWeightedSumStep(engine, op, slots, lanes)
-
-
-_B_COMPILERS = {
-    "add": _b_compile_add,
-    "sub": _b_compile_sub,
-    "scale_add": _b_compile_scale_add,
-    "sum": _b_compile_sum,
-    "matvec": _b_compile_matvec,
-    "weighted_sum": _b_compile_weighted_sum,
-}
-
-
-def _finalize_batched(recorder, engine, slots, lanes) -> IterationProgram:
-    """Compile a batched recording against the end-of-iteration slots."""
-    return IterationProgram(
-        _B_COMPILERS[op.kind](engine, op, slots, lanes) for op in recorder.ops
-    )
+# lane dimension of the stacked operands.  The steps above, compiled
+# with the lane count of the capture window, therefore check a
+# lane-stacked operand on its *trailing* (per-lane) dims only, which is
+# what lets one captured program replay across a shrinking lane group
+# without re-capture: the program is a property of the (solver, mode)
+# pair, not of the lane count.
 
 
 #: Interpreted batched implementations the dispatcher records through
@@ -1880,8 +1237,7 @@ class BatchedProgramEngine(_ProgramCapture, BatchedEngine):
         return result
 
     def _compile(self, recorder):
-        lanes = int(self._window_lanes.shape[0])
-        return _finalize_batched(recorder, self, self._slots, lanes)
+        return recorder.finalize(self, self._slots, int(self._window_lanes.shape[0]))
 
     def _flush(self, pending):
         self.ledger.charge_many_lanes(self._window_lanes, pending)

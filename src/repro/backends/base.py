@@ -45,7 +45,7 @@ class KernelBackend:
     def add_signed(self, adder, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
         """One elementary addition through ``adder`` (two's-complement,
         wraparound overflow) — the single adder entry point of
-        :meth:`repro.arith.engine.ApproxEngine._add_words`."""
+        :func:`repro.arith.engine._saturating_add`."""
         return adder.add_signed(qa, qb)
 
     # ------------------------------------------------------------------
@@ -131,9 +131,9 @@ class KernelBackend:
         float64's integer-exact range) and only the O(rows) result is
         cast.  ``x`` is ``(n,)`` for one lane or ``(B, n)``
         lane-stacked; the result is ``(rows,)`` / ``(B, rows)`` with
-        empty rows emitting the zero word.  ``bufs`` is per-call-site
-        scratch (row-partition geometry plus the product buffer),
-        reused across iterations.
+        empty rows emitting the zero word.  ``bufs`` is scratch
+        reused across calls on one ``indptr`` (the segment-sum selector
+        or row-partition geometry, plus the product buffers by shape).
         """
         rows = indptr.shape[0] - 1
         batched = x.ndim == 2
@@ -169,17 +169,9 @@ class KernelBackend:
             if batched:
                 return (sel @ fbuf.T).T.astype(np.int64)
             return (sel @ fbuf).astype(np.int64)
-        geom = bufs.get("csr_geom")
-        if geom is None:
-            nz = indptr[:-1] < indptr[1:]
-            # Row starts of the non-empty rows partition the data array
-            # exactly (empty rows occupy no space), so one reduceat
-            # yields every non-empty row's segment sum.
-            starts = np.ascontiguousarray(indptr[:-1][nz])
-            geom = bufs["csr_geom"] = (nz, bool(nz.all()), starts)
-        nz, all_full, starts = geom
+        nz, starts = _row_starts(indptr, bufs)
         sums = np.add.reduceat(fbuf, starts, axis=-1).astype(np.int64)
-        if all_full:
+        if starts.size == rows:
             return sums
         shape = (x.shape[0], rows) if batched else (rows,)
         out = np.zeros(shape, dtype=np.int64)
@@ -216,6 +208,18 @@ class KernelBackend:
         np.rint(fbuf, out=fbuf)
         np.copyto(qbuf, fbuf, casting="unsafe")
         return qbuf
+
+
+def _row_starts(indptr: np.ndarray, bufs: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The non-empty rows of a CSR ``indptr`` and their starts, cached
+    in ``bufs``.  The starts partition the data array exactly (empty
+    rows occupy no space), so one ``reduceat`` over them yields every
+    non-empty row's segment sum."""
+    geom = bufs.get("csr_geom")
+    if geom is None:
+        nz = indptr[:-1] < indptr[1:]
+        geom = bufs["csr_geom"] = (nz, np.ascontiguousarray(indptr[:-1][nz]))
+    return geom
 
 
 #: The one kernel set every engine dispatches through.

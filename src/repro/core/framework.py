@@ -553,12 +553,13 @@ class _OnlineLoop:
 
     With ``capture`` on, each mode's engine records its first iteration
     and replays it thereafter.  Programs survive rollbacks: the retried
-    iteration replays its mode's program, whose per-add saturation
-    re-proof and structural checks bail to the interpreted path where
-    the recording no longer holds.  A mode switch selects that mode's
-    own engine and program, and a lane group recomposing keeps it too,
-    because batched steps validate per-lane trailing dims only and
-    charge in lane-count-independent units.
+    iteration replays its mode's program, whose steps decide saturation
+    on the spot, as the interpreted ops do, and whose structural checks
+    bail to the interpreted path where the recording no longer holds.
+    A mode switch selects that mode's own engine and program, and a
+    lane group recomposing keeps it too, because lane-group steps check
+    stacked operands on their trailing dims only and charge in
+    lane-count-independent units.
     """
 
     def __init__(

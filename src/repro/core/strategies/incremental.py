@@ -16,11 +16,12 @@ which is what underwrites the paper's convergence guarantee.
 Interaction with program capture/replay (:mod:`repro.arith.program`):
 each escalation switches to a different per-mode engine, whose own
 iteration program (if previously captured) replays unchanged.  Neither
-the switch nor a function-scheme rollback drops a program: replay
-re-proves saturation per add and bails to the interpreted path where
-the recording no longer holds.  Every path is bit-identical to the
-interpreted loop, so the strategy's decisions are unaffected by
-capture.
+the switch nor a function-scheme rollback drops a program: every
+replayed add decides saturation on the spot, as the interpreted op
+does, and replay bails to the interpreted path only where the op
+structure no longer matches the recording.  Every path is
+bit-identical to the interpreted loop, so the strategy's decisions are
+unaffected by capture.
 """
 
 from __future__ import annotations

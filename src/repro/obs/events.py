@@ -49,9 +49,8 @@ Event kinds
     A replayed iteration diverged from its program's structure and fell
     back to the interpreted path; the program was dropped and the next
     iteration on this mode re-records.  ``detail["reason"]``:
-    ``structure`` / ``shorter-iteration`` (op sequence changed),
-    ``shape`` / ``operand`` (an operand changed shape or kind), or
-    ``saturation`` (an add left the recorded saturation envelope).
+    ``structure`` / ``shorter-iteration`` (op sequence changed) or
+    ``shape`` / ``operand`` (an operand changed shape or kind).
 """
 
 from __future__ import annotations

@@ -101,11 +101,16 @@ class TestLaneStack:
         np.testing.assert_array_equal(stack.lane(1), [0.25, 4.0])
         np.testing.assert_array_equal(stack.decode()[0], [1.5, -2.0])
 
-    def test_lane_bounds_are_per_lane(self, fmt32):
+    def test_bounds_are_one_cached_envelope(self, fmt32):
+        """One ``(min, max)`` over every lane, computed once and cached,
+        as a ResidentVector's bounds are; empty stacks have none."""
         words = np.array([[5, -3, 2], [100, 7, -1]], dtype=np.int64)
-        lo, hi = LaneStack(words, fmt32).lane_bounds()
-        assert list(lo) == [-3, -1]
-        assert list(hi) == [5, 100]
+        stack = LaneStack(words, fmt32)
+        assert stack.bounds() == (-3, 100)
+        words[0, 0] = 1000  # the envelope is not rescanned
+        assert stack.bounds() == (-3, 100)
+        assert LaneStack(words, fmt32, bounds=(-5, 5)).bounds() == (-5, 5)
+        assert LaneStack(np.zeros((2, 0), dtype=np.int64), fmt32).bounds() is None
 
     def test_rejects_zero_dim_and_nocopy_array(self, fmt32):
         with pytest.raises(ValueError):

@@ -14,8 +14,12 @@ import pytest
 from repro.arith.engine import (
     BatchedEnergyLedger,
     BatchedEngine,
+    EnergyLedger,
+    LaneStack,
 )
 from repro.arith.program import BatchedProgramEngine
+from repro.arith.reference import ReferenceEngine
+from repro.backends import KERNELS
 
 LANES = 5
 DIM = 12
@@ -196,3 +200,73 @@ class TestLaneGroupCaptureReplay:
         stats = prog.cache_stats()
         assert stats["program_captures"] == 1
         assert stats["program_cached"] == 1
+
+
+class TestReplayDecidesOnTheSpot:
+    def test_saturation_outside_recorded_range_keeps_program(
+        self, mode, fmt32, rng
+    ):
+        """Recorded in range at five lanes, replayed out of range on a
+        shrunken group: every add decides saturation itself, clamping
+        exactly as the interpreted op does, and the program is kept."""
+        prog, plain = _pair(mode, fmt32)
+        specs = [ReferenceEngine(mode, fmt32, EnergyLedger()) for _ in range(LANES)]
+        small = rng.uniform(-1.0, 1.0, (LANES, DIM))
+        prog.begin_iteration({"a": small})
+        prog.add(small, small)
+        assert prog.end_iteration() == ("captured", None)
+        plain.add(small, small)
+        for lane, spec in enumerate(specs):
+            spec.add(small[lane], small[lane])
+
+        keep = np.array([1, 3])
+        huge = np.full((keep.size, DIM), fmt32.max_value * 0.9)
+        huge[:, ::2] *= -1.0
+        prog.select_lanes(keep)
+        plain.select_lanes(keep)
+        assert prog.begin_iteration({"a": huge}) == "replay"
+        got = prog.add(huge, huge)
+        assert prog.end_iteration() == ("replayed", None)
+        np.testing.assert_array_equal(got, plain.add(huge, huge))
+        for row, lane in enumerate(keep):
+            np.testing.assert_array_equal(got[row], specs[lane].add(huge[row], huge[row]))
+        assert set(got.ravel().tolist()) == {fmt32.min_value, fmt32.max_value}
+        assert prog.program is not None
+        assert prog.program_bailouts == 0
+        _assert_ledgers_equal(prog, plain)
+        for lane, spec in enumerate(specs):
+            assert prog.ledger.lane_ledger(lane) == spec.ledger
+
+    def test_replayed_sub_of_lane_stacks_runs_in_range(
+        self, bank32, fmt32, rng, monkeypatch
+    ):
+        """A lane group's LaneStack subtrahend takes the solo resident
+        route: at the exact mode, a replayed ``sub`` of two in-range
+        stacks is one ``sub_words_inrange`` call, and every lane's
+        words and ledger equal a solo reference run of that lane."""
+        calls = []
+        orig = type(KERNELS).sub_words_inrange
+
+        def spy(self, *args, **kwargs):
+            calls.append(args[0].shape)
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(KERNELS), "sub_words_inrange", spy)
+        acc = bank32.by_name("acc")
+        prog, _ = _pair(acc, fmt32)
+        specs = [ReferenceEngine(acc, fmt32, EnergyLedger()) for _ in range(LANES)]
+        for k in range(4):
+            X = rng.uniform(-2.0, 2.0, (LANES, DIM))
+            Y = rng.uniform(-2.0, 2.0, (LANES, DIM))
+            assert prog.begin_iteration({"X": X, "Y": Y}) == ("record" if k == 0 else "replay")
+            a = prog.add(X, X, resident=True)
+            b = prog.add(Y, Y, resident=True)
+            assert isinstance(b, LaneStack)
+            got = prog.sub(a, b)
+            assert prog.end_iteration() == ("captured" if k == 0 else "replayed", None)
+            for lane, spec in enumerate(specs):
+                want = spec.sub(spec.add(X[lane], X[lane]), spec.add(Y[lane], Y[lane]))
+                np.testing.assert_array_equal(got[lane], want)
+        assert calls == [(LANES, DIM)] * 3
+        for lane, spec in enumerate(specs):
+            assert prog.ledger.lane_ledger(lane) == spec.ledger

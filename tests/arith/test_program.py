@@ -19,6 +19,7 @@ from repro.arith.engine import (
     ResidentVector,
 )
 from repro.arith.program import BatchedProgramEngine, ProgramEngine
+from repro.arith.reference import ReferenceEngine
 from repro.core.framework import ApproxIt
 from repro.obs import TraceRecorder, summarize_trace
 from repro.solvers import JacobiSolver
@@ -51,8 +52,7 @@ def _iteration(engine, x, d, mat):
 class TestCaptureReplayParity:
     def test_replayed_iterations_match_interpreted(self, mode, fmt32, rng):
         prog, oracle = _pair(mode, fmt32)
-        # Small matrix keeps the toy iteration contracting, so no
-        # saturation-envelope bailout interrupts the replay streak.
+        # Small matrix keeps the toy iteration contracting.
         mat = rng.uniform(-0.05, 0.05, (12, 12))
         x = rng.uniform(-2.0, 2.0, 12)
         for k in range(5):
@@ -112,15 +112,15 @@ class TestCompileFailure:
         def broken(*args, **kwargs):
             raise RuntimeError("cannot compile")
 
+        # One compiler table serves both program engines.
+        monkeypatch.setitem(program._COMPILERS, "add", broken)
         if batched:
-            monkeypatch.setitem(program._B_COMPILERS, "add", broken)
             prog = BatchedProgramEngine(mode, fmt32, BatchedEnergyLedger(3))
             plain = BatchedEngine(mode, fmt32, BatchedEnergyLedger(3))
             prog.select_lanes(np.arange(3))
             plain.select_lanes(np.arange(3))
             shape = (3, 8)
         else:
-            monkeypatch.setitem(program._COMPILERS, "add", broken)
             prog = ProgramEngine(mode, fmt32, EnergyLedger())
             plain = ApproxEngine(mode, fmt32, EnergyLedger())
             shape = (8,)
@@ -230,24 +230,31 @@ class TestBailouts:
         np.testing.assert_array_equal(got, oracle.add(a, rv))
         assert prog.ledger.energy == oracle.ledger.energy
 
-    def test_unexpected_saturation_bails(self, mode, fmt32, rng):
-        """Recorded in-range, replayed out of range: the envelope the
-        program was compiled for no longer holds."""
-        prog, oracle = _pair(mode, fmt32)
+    def test_saturation_outside_recorded_range_keeps_program(self, mode, fmt32, rng):
+        """Recorded in range, replayed out of range: saturation is
+        decided on the spot, so the add clamps exactly as the
+        interpreted op does and the program is kept."""
+        prog, plain = _pair(mode, fmt32)
+        spec = ReferenceEngine(mode, fmt32, EnergyLedger())
         small = rng.uniform(-1.0, 1.0, 10)
         prog.begin_iteration({"x": small})
         prog.add(small, small)
-        prog.end_iteration()
-        oracle.add(small, small)  # mirror the capture iteration
+        assert prog.end_iteration() == ("captured", None)
+        plain.add(small, small)  # mirror the capture iteration
+        spec.add(small, small)
 
         huge = np.full(10, fmt32.max_value * 0.9)
+        huge[::2] *= -1.0
         prog.begin_iteration({"x": huge})
         got = prog.add(huge, huge)
-        execution, reason = prog.end_iteration()
-        assert (execution, reason) == ("interpreted", "saturation")
-        np.testing.assert_array_equal(got, oracle.add(huge, huge))
-        assert prog.ledger.energy == oracle.ledger.energy
-        assert prog.program is None
+        assert prog.end_iteration() == ("replayed", None)
+        want = plain.add(huge, huge)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, spec.add(huge, huge))
+        assert set(got.tolist()) == {fmt32.min_value, fmt32.max_value}
+        assert prog.ledger == plain.ledger == spec.ledger
+        assert prog.program is not None
+        assert prog.program_bailouts == 0
 
     def test_recorded_saturation_replays_without_bailing(self, mode, fmt32):
         """An op that saturated at record replays its clamping path."""

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.apps.gmm import GaussianMixtureEM
+from repro.arith.engine import SparseResidentMatrix
 from repro.backends import KERNELS, resolve_backend_name
 from repro.core.framework import ApproxIt
 from repro.data.registry import load_dataset
@@ -36,8 +37,10 @@ FUSED_KERNELS = (
 )
 
 
-def _jacobi(n=48, max_iter=80):
+def _jacobi(n=48, max_iter=80, sparse=False):
     matrix = 2.05 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    if sparse:
+        matrix = SparseResidentMatrix.from_dense(matrix)
     rhs = np.random.default_rng(17).uniform(-2.0, 2.0, n)
     return ApproxIt(JacobiSolver(matrix, rhs, max_iter=max_iter, tolerance=1e-9))
 
@@ -127,3 +130,25 @@ def test_repeated_replay_is_deterministic():
     runs = [framework.run(strategy="static:acc") for _ in range(3)]
     for run in runs[1:]:
         _assert_run_parity(run, runs[0])
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_capture_off_never_reaches_a_fused_kernel(sparse, monkeypatch, reference_run):
+    """``program_capture=False`` means the plain engines, which call
+    only ``add_signed``: with every fused kernel raising, solo and
+    lane-group solves still finish, equal to the reference engine.
+    The capture-off oracle therefore stays independent of the replay
+    kernels it checks."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capture-off solve reached a fused kernel")
+
+    framework = _jacobi(n=24, max_iter=40, sparse=sparse)
+    specs = ["static:acc", "incremental"]
+    want = [reference_run(framework, spec) for spec in specs]
+    for name in FUSED_KERNELS:
+        monkeypatch.setattr(type(KERNELS), name, refuse)
+    for spec, ref in zip(specs, want):
+        _assert_run_parity(framework.run(strategy=spec, program_capture=False), ref)
+    for lane, ref in zip(framework.run_batch(specs, program_capture=False), want):
+        _assert_run_parity(lane, ref)

@@ -7,7 +7,7 @@ contract, not approximate: bit-identical iterates
 floats against :class:`~repro.arith.reference.ReferenceEngine`'s
 per-length trees, through every fast layer — iteration-program
 capture/replay (including the fused ``csr_matvec_words`` backend route
-and its nnz-saturation bailout) and the batched lane engine.
+and its ``nnz_max * W`` fallback) and the batched lane engine.
 
 Three tiers of evidence:
 
@@ -40,6 +40,7 @@ from repro.arith.fixed import FixedPointFormat
 from repro.arith.modes import default_mode_bank
 from repro.arith.program import BatchedProgramEngine, ProgramEngine
 from repro.arith.reference import ReferenceEngine
+from repro.backends import KERNELS
 from repro.core.framework import ApproxIt
 from repro.solvers import JacobiSolver, LeastSquaresGD
 
@@ -375,6 +376,32 @@ class TestReplayFusionGate:
             sp, lambda s: np.random.default_rng(s).uniform(-1, 1, 50), monkeypatch
         )
         assert fused == 1  # the replayed iteration, not the recording
+
+    def test_fused_scratch_is_built_once_per_matrix(self, monkeypatch):
+        """Every program compiled over one CSR matrix shares its fused
+        kernel scratch: two ``static:acc`` runs of one PageRank
+        framework build the segment-sum selector (or, without scipy,
+        the reduceat geometry) once."""
+        framework = _sparse_pagerank()
+        framework.characterization()
+        seen = []
+        orig = type(KERNELS).csr_matvec_words
+
+        def spy(self, *args, **kwargs):
+            out = orig(self, *args, **kwargs)
+            bufs = args[5]
+            seen.append((bufs, bufs.get("csr_segsum", bufs.get("csr_geom"))))
+            return out
+
+        monkeypatch.setattr(type(KERNELS), "csr_matvec_words", spy)
+        first = framework.run(strategy="static:acc")
+        calls = len(seen)
+        second = framework.run(strategy="static:acc")
+        assert 0 < calls < len(seen)
+        bufs, selector = seen[0]
+        assert selector is not None
+        assert all(b is bufs and s is selector for b, s in seen)
+        _assert_runs_equal(first, second)
 
     def test_hot_row_disables_fusion_but_keeps_parity(self, monkeypatch):
         """One row whose nnz * W bound overflows the word: the proof
