@@ -33,6 +33,7 @@ REQUIRED_ENTRIES = (
     "batched/replay_jacobi_b64",
     "batched/replay_gs_rb32",
     "batched/replay_gmm_b16",
+    "batched/approx_matvec_jacobi240_b16",
     "e2e/jacobi80_adaptive",
     "e2e/replay_jacobi80",
     "e2e/replay_jacobi240",

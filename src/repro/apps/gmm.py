@@ -3,8 +3,9 @@
 EM is a fixed-point iteration ``theta <- M(theta)``; in the paper's
 direction/update language the direction is ``d^k = M(theta^k) - theta^k``
 with unit step size.  Per Table 2 the approximate adders act on the
-*mean-value* computation: the M-step's weighted coordinate sums run
-through the :class:`~repro.arith.ApproxEngine` (direction error), and
+*mean-value* computation: the M-step's k weighted coordinate sums run
+through the :class:`~repro.arith.ApproxEngine` as one ``(k, n)`` weight
+block, charged as k separate sums (direction error), and
 the mean block of the parameter update is added on the approximate
 datapath (update error).  Responsibilities, weights and variances —
 the numerically fragile parts — stay on the exact portion of the
@@ -232,11 +233,9 @@ class GaussianMixtureEM(IterativeMethod):
         counts = resp.sum(axis=0)
         counts = np.maximum(counts, _WEIGHT_FLOOR * self._n)
 
-        new_means = np.empty_like(params.means)
-        for k in range(self.n_clusters):
-            # Table 2 "Adder Impact: Mean Value" — this weighted
-            # coordinate sum is the approximate kernel.
-            new_means[k] = engine.weighted_sum(resp[:, k], self.points) / counts[k]
+        # Table 2 "Adder Impact: Mean Value" — the k weighted coordinate
+        # sums are the approximate kernel, issued as one (k, n) block.
+        new_means = engine.weighted_sum(resp.T, self.points) / counts[:, None]
 
         diff = self.points[:, None, :] - new_means[None, :, :]
         new_vars = (resp[:, :, None] * diff**2).sum(axis=0) / counts[:, None]

@@ -6,9 +6,12 @@ methods in :mod:`repro.solvers` / :mod:`repro.apps`:
 
 * :class:`FixedPointFormat` — a Q-format two's-complement encoding that
   converts float tensors to machine words and back;
-* :class:`ApproxEngine` — executes additions, reductions, dot products
-  and matrix-vector products *through* a chosen adder model, charging
-  every elementary addition to an :class:`EnergyLedger`;
+* :class:`ApproxEngine` — executes additions, reductions, dot products,
+  matrix-vector products and weighted sums *through* a chosen adder
+  model, charging every elementary addition to an :class:`EnergyLedger`.
+  A dense matvec or weighted sum (one weight vector, or a ``(k, n)``
+  block of them) runs product, encode and tree fold one L2-sized tile
+  at a time, reduced axis outermost;
 * :class:`ResidentVector` — fixed-point words kept resident between
   chained engine kernels (pass ``resident=True`` to any kernel);
 * :class:`SparseResidentMatrix` / :class:`SparseReductionPlan` — the
@@ -19,7 +22,8 @@ methods in :mod:`repro.solvers` / :mod:`repro.apps`:
 * :class:`BatchedEngine` / :class:`LaneStack` /
   :class:`BatchedEnergyLedger` — the lock-step lane-parallel variant:
   one kernel call advances a whole stack of independent workloads with
-  bit-identical per-lane results and exact per-lane energy accounting;
+  bit-identical per-lane results and exact per-lane energy accounting
+  (a replay's deferred charges flush in one gather and one scatter);
 * :class:`ProgramEngine` / :class:`IterationProgram` — CUDA-graph-style
   capture/replay for the online loop: one interpreted iteration is
   recorded into a compiled program that later iterations replay with

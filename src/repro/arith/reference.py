@@ -18,6 +18,8 @@ and the baseline the perf benchmarks time them against.  Like
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.arith.engine import EnergyLedger, SparseResidentMatrix
@@ -128,11 +130,18 @@ class ReferenceEngine:
         return self.sum(mat * vec[np.newaxis, :], axis=1)
 
     def weighted_sum(self, weights, points, *, resident: bool = False) -> np.ndarray:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
+        """Dense points take ``(..., n)`` weights: each leading index is
+        its own sum, computed (and charged) one after another in C
+        order.  CSR points take ``(n,)`` weights."""
         sparse = isinstance(points, SparseResidentMatrix)
         pts = points if sparse else np.asarray(points, dtype=np.float64)
-        if pts.shape[0] != w.shape[0]:
+        w = np.asarray(weights, dtype=np.float64)
+        if sparse:
+            w = w.reshape(-1)
+        if len(pts.shape) != 2 or w.ndim < 1 or pts.shape[0] != w.shape[-1]:
             raise ValueError(f"weighted_sum shape mismatch: {w.shape} vs {pts.shape}")
         if sparse:
             return self._csr(pts.transpose(), w)
-        return self.sum(w[:, np.newaxis] * pts, axis=0)
+        rows = w.reshape(math.prod(w.shape[:-1]), pts.shape[0])
+        sums = [self.sum(row[:, np.newaxis] * pts, axis=0) for row in rows]
+        return np.reshape(sums, w.shape[:-1] + pts.shape[1:])

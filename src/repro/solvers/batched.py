@@ -33,8 +33,8 @@ ledgers exactly equal.  The covered methods:
 * Gaussian-mixture EM — responsibilities come from the lane states
   (each lane's exact E-step, done once by its ``evaluate``) and the
   variance/weight tail is exact per lane; the k per-component weighted
-  mean sums stack into k batched ``weighted_sum`` calls in solo charge
-  order.
+  mean sums of every lane run as one batched ``weighted_sum`` over an
+  ``(L, k, n)`` weight stack, charged in solo order.
 
 A method that cannot be batched gets a structured
 :class:`BatchSupport` refusal from :func:`batching_support` saying
@@ -326,19 +326,19 @@ class _BatchedGD(BatchedKernels):
 
 
 class _BatchedGmm(BatchedKernels):
-    """EM over per-component lane stacking.
+    """EM over a lane-stacked component block.
 
     The E-step (responsibilities) comes from each lane's state, and the
     M-step's variance/weight tail is exact float and runs per lane with
     the identical expressions of
     :meth:`~repro.apps.gmm.GaussianMixtureEM.em_step`; only the k
-    weighted mean sums touch the approximate datapath, and they stack
-    into k batched ``weighted_sum`` calls — per lane, the charge
-    sequence (component 0, 1, …, then the mean-block ``scale_add`` of
-    the update) is exactly the solo order.  Components stack across the
-    *op sequence*, never across ledger rows, so no lane id is ever
-    selected twice in one call (``charge_lanes`` is fancy-indexed and
-    would drop duplicate charges).
+    weighted mean sums touch the approximate datapath, as one batched
+    ``weighted_sum`` over the ``(L, k, n)`` weight stack — per lane,
+    the charge sequence (component 0, 1, …, then the mean-block
+    ``scale_add`` of the update) is exactly the solo order.  Components
+    stack inside each lane's row, never across ledger rows, so no lane
+    id is ever selected twice in one call (``charge_lanes`` is
+    fancy-indexed and would drop duplicate charges).
     """
 
     def direction(self, X, lane_ids, engine, states=None):
@@ -350,13 +350,9 @@ class _BatchedGmm(BatchedKernels):
         counts = [
             np.maximum(resp.sum(axis=0), _WEIGHT_FLOOR * m._n) for resp in resps
         ]
-        k, dim = m.n_clusters, m._d
-        new_means = np.empty((L, k, dim))
-        for comp in range(k):
-            weights = np.stack([resp[:, comp] for resp in resps])
-            sums = engine.weighted_sum(weights, m.points)
-            comp_counts = np.array([c[comp] for c in counts])
-            new_means[:, comp, :] = sums / comp_counts[:, None]
+        # One (L, k, n) weight block: every lane's k component sums.
+        weights = np.stack([resp.T for resp in resps])
+        new_means = engine.weighted_sum(weights, m.points) / np.stack(counts)[:, :, None]
         D = np.empty_like(X)
         for row in range(L):
             diff = m.points[:, None, :] - new_means[row][None, :, :]

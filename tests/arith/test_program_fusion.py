@@ -98,16 +98,28 @@ def test_jacobi_exact_mode_fused_replay_matches_interpreted(kernels, monkeypatch
 
 @KERNEL_SET
 def test_gmm_exact_mode_fuses_every_component_sum(kernels, monkeypatch):
-    """GMM hands its raw data points to ``weighted_sum`` once per
-    component; every replayed ``static:acc`` M-step fuses all k."""
+    """GMM hands its raw data points to ``weighted_sum`` once, with a
+    ``(k, n)`` weight block; every replayed ``static:acc`` M-step fuses
+    all k component sums in one call."""
     framework = ApproxIt(GaussianMixtureEM.from_dataset(load_dataset("3cluster")))
+    shapes = set()
+    fused = type(KERNELS).product_reduce_words
+
+    def spy(self, a, b, *args, **kwargs):
+        shapes.add(np.broadcast_shapes(a.shape, b.shape))
+        return fused(self, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(type(KERNELS), "product_reduce_words", spy)
     recorder = TraceRecorder(label="fusion")
     calls = _fused_vs_interpreted(
         "static:acc", kernels, monkeypatch, framework, observer=recorder
     )
     replays = recorder.metrics.counters["program.replays"]
     assert replays > 0
-    assert calls["product_reduce_words"] == framework.method.n_clusters * replays
+    assert calls["product_reduce_words"] == replays
+    points = framework.method.points
+    k = framework.method.n_clusters
+    assert shapes == {(k, points.shape[1], points.shape[0])}
 
 
 @KERNEL_SET

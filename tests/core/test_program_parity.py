@@ -19,6 +19,7 @@ import pytest
 
 from repro.apps import GaussianMixtureEM, KMeans, PageRank
 from repro.core.framework import ApproxIt
+from repro.data.registry import load_dataset
 from repro.obs import TraceRecorder, summarize_trace
 from repro.solvers import (
     ConjugateGradient,
@@ -243,6 +244,31 @@ def test_every_solver_matches_interpreted(solver, strategy):
 @pytest.mark.parametrize("strategy", ["truth", "static:level2", "static:acc"])
 def test_static_and_truth_strategies(strategy):
     assert_captured_matches_interpreted(_jacobi(), strategy)
+
+
+@pytest.mark.parametrize(
+    "dataset, strategy",
+    [
+        ("3cluster", "static:level2"),
+        ("3cluster", "incremental"),
+        ("3cluster", "adaptive"),
+        ("4cluster", "static:level1"),
+    ],
+)
+def test_gmm_weight_block_matches_reference_engine(dataset, strategy, reference_run):
+    """GMM issues its k mean sums as one ``(k, n)`` weight block; the
+    spec engine computes them as k separate sums.  The captured run
+    must equal it bit for bit, with a float-equal ledger."""
+    framework = ApproxIt(GaussianMixtureEM.from_dataset(load_dataset(dataset)))
+    captured = framework.run(strategy=strategy)
+    reference = reference_run(framework, strategy)
+    np.testing.assert_array_equal(captured.x, reference.x)
+    assert captured.iterations == reference.iterations
+    assert captured.rollbacks == reference.rollbacks
+    assert captured.mode_trace == reference.mode_trace
+    assert captured.objective_trace == reference.objective_trace
+    assert captured.energy == reference.energy
+    assert captured.energy_by_mode == reference.energy_by_mode
 
 
 def test_replays_actually_happen():
