@@ -213,9 +213,7 @@ class FullCovarianceGMM(IterativeMethod):
         resp = self.responsibilities(x)
         counts = np.maximum(resp.sum(axis=0), _WEIGHT_FLOOR * self._n)
 
-        new_means = np.empty_like(params.means)
-        for k in range(self.n_clusters):
-            new_means[k] = engine.weighted_sum(resp[:, k], self.points) / counts[k]
+        new_means = engine.weighted_sum(resp.T, self.points) / counts[:, None]
 
         new_covs = np.empty_like(params.covariances)
         for k in range(self.n_clusters):
