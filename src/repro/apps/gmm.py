@@ -11,6 +11,11 @@ datapath (update error).  Responsibilities, weights and variances —
 the numerically fragile parts — stay on the exact portion of the
 platform, mirroring the offline resilience partition of Section 3.1.
 
+The exact kernels run coordinate-major, over a ``(d, k, n)`` block
+``points − means`` and ``(k, n)`` responsibilities, so every pass runs
+along the contiguous points axis; their sums keep the order NumPy used
+on the point-major ``(n, k, d)`` layout (see ``_log_joint``).
+
 Covariances are diagonal: the synthetic Table-2 mixtures are isotropic,
 and a diagonal model keeps the error-sensitive covariance math trivially
 positive-definite under the rollback/reconfiguration dynamics.
@@ -19,6 +24,7 @@ positive-definite under the rollback/reconfiguration dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -30,6 +36,14 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 #: Floor applied to mixture weights and variances after every update.
 _WEIGHT_FLOOR = 1e-8
 _VAR_FLOOR = 1e-4
+
+
+def _point_sum(terms: np.ndarray) -> np.ndarray:
+    """``0.0 + terms[..., 0] + terms[..., 1] + …``, overwriting ``terms``
+    with its running sums: NumPy's sequential order over a leading
+    points axis (``terms.sum(axis=-1)`` is pairwise).  The ``+ 0.0`` is
+    NumPy's starting zero, which makes a sum of ``-0.0`` terms ``+0.0``."""
+    return np.add.accumulate(terms, axis=-1, out=terms)[..., -1] + 0.0
 
 
 @dataclass(frozen=True)
@@ -113,6 +127,8 @@ class GaussianMixtureEM(IterativeMethod):
                 f"n_clusters {n_clusters} invalid for {points.shape[0]} samples"
             )
         self.points = points
+        #: Coordinate-major copy that the exact kernels stream over.
+        self._points_t = np.ascontiguousarray(points.T)
         self.n_clusters = int(n_clusters)
         self.seed = int(seed)
         self._n, self._d = points.shape
@@ -153,39 +169,46 @@ class GaussianMixtureEM(IterativeMethod):
     # Probabilistic kernels (exact)
     # ------------------------------------------------------------------
     def _log_joint(self, params: GmmParams) -> tuple[np.ndarray, np.ndarray]:
-        """``log(w_k) + log N(x_i | mu_k, var_k)`` as an ``(n, k)`` array,
-        with the ``(n, k, d)`` block ``points − means`` it was built from."""
+        """``log(w_k) + log N(x_i | mu_k, var_k)`` as a ``(k, n)`` array,
+        with the ``(d, k, n)`` block ``points − means`` it was built from.
+
+        ``d`` and ``k`` sums add rows left to right, as NumPy summed a
+        point-major trailing axis shorter than 8.  NumPy summed pairwise
+        for ``k ≥ 8``, ``d ≥ 8`` and ``k = d = 1`` (the ``(n, 1, 1)``
+        block collapsed to 1-D), so there the bits differ from the
+        point-major layout's; no registry dataset has such a shape.
+        """
         weights = np.maximum(params.weights, _WEIGHT_FLOOR)
         variances = np.maximum(params.variances, _VAR_FLOOR)
         log_w = np.log(weights / weights.sum())
-        diff = self.points[:, None, :] - params.means[None, :, :]
-        maha = np.sum(diff**2 / variances[None, :, :], axis=2)
+        diff = self._points_t[:, None, :] - params.means.T.copy()[:, :, None]
+        maha = reduce(np.add, np.square(diff) / variances.T[:, :, None])
         log_det = np.sum(np.log(variances), axis=1)
-        log_pdf = -0.5 * (maha + log_det + self._d * _LOG_2PI)
-        return log_pdf + log_w[None, :], diff
+        log_pdf = -0.5 * (maha + log_det[:, None] + self._d * _LOG_2PI)
+        return log_pdf + log_w[:, None], diff
 
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
         """E-step posterior ``(n, k)`` (exact float, read-only)."""
-        return evaluate_into(self, x)[1]["resp"]
+        return evaluate_into(self, x)[1]["resp"].T
 
     def assignments(self, x: np.ndarray) -> np.ndarray:
         """Hard cluster labels (argmax responsibility)."""
-        return np.argmax(self._log_joint(self.params(x))[0], axis=1)
+        return np.argmax(self._log_joint(self.params(x))[0], axis=0)
 
-    #: The objective and its E-step: responsibilities ``"resp"`` and the
-    #: ``points − means`` block ``"diff"``.
+    #: The objective and its E-step: ``(k, n)`` responsibilities
+    #: ``"resp"`` and the ``(d, k, n)`` ``points − means`` block ``"diff"``.
     evaluate = evaluate_into
 
     def objective(self, x: np.ndarray, state: dict | None = None) -> float:
         """Mean negative log-likelihood (exact); fills ``state`` if given."""
         log_joint, diff = self._log_joint(self.params(x))
-        peak = log_joint.max(axis=1, keepdims=True)
+        peak = np.maximum.reduce(log_joint, axis=0)
         joint = np.exp(log_joint - peak)
-        total = joint.sum(axis=1, keepdims=True)
+        total = reduce(np.add, joint)
         if state is not None:
             state["resp"] = joint / total
             state["diff"] = diff
-        log_lik = peak[:, 0] + np.log(total[:, 0])
+        log_lik = peak + np.log(total)
         return float(-log_lik.mean())
 
     def converged(self, f_prev: float, f_new: float) -> bool:
@@ -208,16 +231,13 @@ class GaussianMixtureEM(IterativeMethod):
         if state is None:
             state = evaluate_into(self, x)[1]
         resp, diff = state["resp"], state["diff"]
-        variances = np.maximum(self.params(x).variances, _VAR_FLOOR)
-        grad_means = -(resp[:, :, None] * diff / variances[None, :, :]).sum(
-            axis=0
+        variances = np.maximum(self.params(x).variances, _VAR_FLOOR).T[:, :, None]
+        grad_means = -_point_sum(resp * diff / variances) / self._n
+        grad_vars = -_point_sum(
+            resp * 0.5 * (diff**2 / variances**2 - 1.0 / variances)
         ) / self._n
-        grad_vars = -(
-            resp[:, :, None] * 0.5 * (diff**2 / variances[None, :, :] ** 2
-                                      - 1.0 / variances[None, :, :])
-        ).sum(axis=0) / self._n
         return np.concatenate(
-            [np.zeros(self.n_clusters), grad_means.ravel(), grad_vars.ravel()]
+            [np.zeros(self.n_clusters), grad_means.T.ravel(), grad_vars.T.ravel()]
         )
 
     # ------------------------------------------------------------------
@@ -226,22 +246,28 @@ class GaussianMixtureEM(IterativeMethod):
     def em_step(self, x: np.ndarray, engine: ApproxEngine, state: dict | None = None) -> GmmParams:
         """One full EM update; mean sums run on the approximate adder.
         The E-step comes from ``state`` (:meth:`evaluate`'s at ``x``)."""
-        params = self.params(x)
         if state is None:
             state = evaluate_into(self, x)[1]
         resp = state["resp"]
-        counts = resp.sum(axis=0)
-        counts = np.maximum(counts, _WEIGHT_FLOOR * self._n)
+        counts = np.maximum(_point_sum(resp.copy()), _WEIGHT_FLOOR * self._n)
 
         # Table 2 "Adder Impact: Mean Value" — the k weighted coordinate
         # sums are the approximate kernel, issued as one (k, n) block.
-        new_means = engine.weighted_sum(resp.T, self.points) / counts[:, None]
-
-        diff = self.points[:, None, :] - new_means[None, :, :]
-        new_vars = (resp[:, :, None] * diff**2).sum(axis=0) / counts[:, None]
-        new_vars = np.maximum(new_vars, _VAR_FLOOR)
-        new_weights = counts / counts.sum()
+        new_means = engine.weighted_sum(resp, self.points) / counts[:, None]
+        new_weights, new_vars = self._m_step_tail(resp, new_means, counts)
         return GmmParams(weights=new_weights, means=new_means, variances=new_vars)
+
+    def _m_step_tail(self, resp: np.ndarray, means: np.ndarray, counts: np.ndarray):
+        """The M-step's exact weights and floored variances from
+        ``(…, k, n)`` responsibilities, ``(…, k, d)`` means and ``(…, k)``
+        counts; with leading lane axes, each lane's bytes are its solo
+        call's.  One ``(…, d, k, n)`` buffer is reused in place."""
+        sq = self._points_t[:, None, :] - means.swapaxes(-1, -2).copy()[..., None]
+        np.square(sq, out=sq)
+        sq *= resp[..., None, :, :]
+        variances = np.swapaxes(_point_sum(sq), -1, -2) / counts[..., None]
+        weights = counts / counts.sum(axis=-1, keepdims=True)
+        return weights, np.maximum(variances, _VAR_FLOOR)
 
     def direction(self, x: np.ndarray, engine: ApproxEngine, state=None) -> np.ndarray:
         return self.em_step(x, engine, state).pack() - np.asarray(x, dtype=np.float64)
@@ -249,15 +275,13 @@ class GaussianMixtureEM(IterativeMethod):
     def update(
         self, x: np.ndarray, alpha: float, d: np.ndarray, engine: ApproxEngine
     ) -> np.ndarray:
-        """Mean block updated on the approximate adder, rest exact."""
+        """Mean block updated on the approximate adder, rest exact; also
+        a lane group's ``(L, N)`` update with ``(L,)`` step sizes."""
         x = np.asarray(x, dtype=np.float64)
         d = np.asarray(d, dtype=np.float64)
-        k, dim = self.n_clusters, self._d
-        new = x + alpha * d
-        mean_lo, mean_hi = k, k + k * dim
-        new[mean_lo:mean_hi] = engine.scale_add(
-            x[mean_lo:mean_hi], alpha, d[mean_lo:mean_hi]
-        )
+        means = slice(self.n_clusters, self.n_clusters * (1 + self._d))
+        new = x + np.asarray(alpha)[..., None] * d
+        new[..., means] = engine.scale_add(x[..., means], alpha, d[..., means])
         return new
 
     def postprocess(self, x: np.ndarray) -> np.ndarray:

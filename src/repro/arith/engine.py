@@ -483,13 +483,10 @@ class EnergyLedger:
         The loop body is :meth:`charge` inlined with the counters held
         in locals (replay flushes tens of thousands of scalar charges
         per iteration at web scale, where per-tuple attribute traffic
-        was measurable); the accumulation order is untouched.
+        was measurable); the accumulation order is untouched, and an
+        observer sees each entry as :meth:`charge` forwards it.
         """
         observer = self.observer
-        if observer is not None:
-            for mode_name, n_adds, energy_per_add in charges:
-                self.charge(mode_name, n_adds, energy_per_add)
-            return
         adds = self.adds
         energy = self.energy
         adds_by_mode = self.adds_by_mode
@@ -505,6 +502,8 @@ class EnergyLedger:
                 energy += cost
                 adds_by_mode[mode_name] = get_adds(mode_name, 0) + n_adds
                 energy_by_mode[mode_name] = get_energy(mode_name, 0.0) + cost
+                if observer is not None:
+                    observer.on_charge(mode_name, n_adds, cost)
         finally:
             # Write-back in a finally so a mid-list validation error
             # leaves the totals consistent with the per-mode dicts,

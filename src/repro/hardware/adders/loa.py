@@ -80,13 +80,16 @@ class LowerOrAdder(AdderModel):
         ``2**width`` (``sext_k`` reads the low ``k < width`` bits alone),
         so they need no masking first.
         """
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if a.ndim == b.ndim == 0:
+            # As NumPy scalars the passes below would warn on the wrap.
+            return self.add_signed(a.reshape(1), b.reshape(1))[0]
         if self.approx_bits == 0:
             out = self.add_unsigned(a, b)
             out ^= self._sign_bit
             out -= self._sign_bit
             return out
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
         low = a & b
         low <<= self._low_shift
         low >>= self._low_shift

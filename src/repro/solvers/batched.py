@@ -30,11 +30,11 @@ ledgers exactly equal.  The covered methods:
 * Gauss–Seidel and SOR — the O(n²) residual accumulation is stacked
   through the engine; the exact triangular solve runs per lane with
   byte-identical inputs, so per-lane outputs match solo runs exactly;
-* Gaussian-mixture EM — responsibilities come from the lane states
-  (each lane's exact E-step, done once by its ``evaluate``) and the
-  variance/weight tail is exact per lane; the k per-component weighted
-  mean sums of every lane run as one batched ``weighted_sum`` over an
-  ``(L, k, n)`` weight stack, charged in solo order.
+* Gaussian-mixture EM — the lanes' responsibilities (each lane's exact
+  E-step, done once by its ``evaluate``) stack into one ``(L, k, n)``
+  block, which feeds one batched ``weighted_sum`` of every lane's k
+  mean sums, charged in solo order, and the solo method's own exact
+  variance/weight tail; the update is the solo method's too.
 
 A method that cannot be batched gets a structured
 :class:`BatchSupport` refusal from :func:`batching_support` saying
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.gmm import _VAR_FLOOR, _WEIGHT_FLOOR, GaussianMixtureEM, GmmParams
+from repro.apps.gmm import _WEIGHT_FLOOR, GaussianMixtureEM, _point_sum
 from repro.arith.engine import BatchedEngine
 from repro.solvers.base import IterativeMethod, evaluate_into
 from repro.solvers.conjugate_gradient import ConjugateGradient
@@ -328,17 +328,15 @@ class _BatchedGD(BatchedKernels):
 class _BatchedGmm(BatchedKernels):
     """EM over a lane-stacked component block.
 
-    The E-step (responsibilities) comes from each lane's state, and the
-    M-step's variance/weight tail is exact float and runs per lane with
-    the identical expressions of
-    :meth:`~repro.apps.gmm.GaussianMixtureEM.em_step`; only the k
-    weighted mean sums touch the approximate datapath, as one batched
-    ``weighted_sum`` over the ``(L, k, n)`` weight stack — per lane,
-    the charge sequence (component 0, 1, …, then the mean-block
-    ``scale_add`` of the update) is exactly the solo order.  Components
-    stack inside each lane's row, never across ledger rows, so no lane
-    id is ever selected twice in one call (``charge_lanes`` is
-    fancy-indexed and would drop duplicate charges).
+    The lanes' states stack into one ``(L, k, n)`` responsibility block.
+    Only the k weighted mean sums touch the approximate datapath, as one
+    batched ``weighted_sum`` over it — per lane, the charge sequence
+    (component 0, 1, …, then the mean-block ``scale_add`` of the update)
+    is exactly the solo order — and the exact tail is the solo
+    :meth:`~repro.apps.gmm.GaussianMixtureEM._m_step_tail` over the same
+    block.  Components stack inside each lane's row, never across ledger
+    rows, so no lane id is selected twice in one call (``charge_lanes``
+    is fancy-indexed and would drop duplicate charges).
     """
 
     def direction(self, X, lane_ids, engine, states=None):
@@ -346,40 +344,15 @@ class _BatchedGmm(BatchedKernels):
         L = X.shape[0]
         if states is None:
             states = [evaluate_into(m, X[row])[1] for row in range(L)]
-        resps = [state["resp"] for state in states]
-        counts = [
-            np.maximum(resp.sum(axis=0), _WEIGHT_FLOOR * m._n) for resp in resps
-        ]
-        # One (L, k, n) weight block: every lane's k component sums.
-        weights = np.stack([resp.T for resp in resps])
-        new_means = engine.weighted_sum(weights, m.points) / np.stack(counts)[:, :, None]
-        D = np.empty_like(X)
-        for row in range(L):
-            diff = m.points[:, None, :] - new_means[row][None, :, :]
-            new_vars = (resps[row][:, :, None] * diff**2).sum(axis=0) / counts[
-                row
-            ][:, None]
-            new_vars = np.maximum(new_vars, _VAR_FLOOR)
-            new_weights = counts[row] / counts[row].sum()
-            packed = GmmParams(
-                weights=new_weights,
-                means=new_means[row],
-                variances=new_vars,
-            ).pack()
-            D[row] = packed - X[row]
-        return D
+        resp = np.stack([state["resp"] for state in states])
+        counts = np.maximum(_point_sum(resp.copy()), _WEIGHT_FLOOR * m._n)
+        new_means = engine.weighted_sum(resp, m.points) / counts[:, :, None]
+        weights, variances = m._m_step_tail(resp, new_means, counts)
+        packed = [weights, new_means.reshape(L, -1), variances.reshape(L, -1)]
+        return np.concatenate(packed, axis=1) - X
 
     def update(self, X, alphas, D, lane_ids, engine):
-        m = self.method
-        k, dim = m.n_clusters, m._d
-        X = np.asarray(X, dtype=np.float64)
-        D = np.asarray(D, dtype=np.float64)
-        new = X + alphas[:, None] * D
-        mean_lo, mean_hi = k, k + k * dim
-        new[:, mean_lo:mean_hi] = engine.scale_add(
-            X[:, mean_lo:mean_hi], alphas, D[:, mean_lo:mean_hi]
-        )
-        return new
+        return self.method.update(X, alphas, D, engine)
 
 
 def _make_gd(method: GradientDescent, lanes: int) -> BatchedKernels | None:

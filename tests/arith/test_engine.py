@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.arith.engine import ApproxEngine, EnergyLedger
 from repro.arith.fixed import FixedPointFormat
+from repro.obs import Observer
 
 
 def make_engine(bank, mode_name, fmt=None, ledger=None):
@@ -37,6 +38,32 @@ class TestLedger:
         assert snap.energy == pytest.approx(2.0)
         assert ledger.energy == pytest.approx(4.0)
         assert ledger.delta_energy(snap) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_observed_charge_many_matches_per_charge_calls(self, bad):
+        """An observed ``charge_many`` equals one ``charge`` per entry, in
+        the ledger and in the observer's counters, up to a mid-list
+        negative count."""
+        rng = np.random.default_rng(5)
+        modes = ("acc", "level1", "level3")
+        charges = [
+            (modes[int(rng.integers(3))], int(rng.integers(0, 5000)), float(rng.uniform(0.01, 1.7)))
+            for _ in range(31)
+        ]
+        if bad:
+            charges[17] = ("level1", -1, 0.5)
+        seen_got, seen_want = Observer(), Observer()
+        got, want = EnergyLedger(observer=seen_got), EnergyLedger(observer=seen_want)
+        try:
+            got.charge_many(charges)
+        except ValueError:
+            assert bad
+        else:
+            assert not bad
+        for mode, n, e in charges[: 17 if bad else None]:
+            want.charge(mode, n, e)
+        assert got == want
+        assert seen_got.metrics.counters == seen_want.metrics.counters
 
     def test_reset(self):
         ledger = EnergyLedger()

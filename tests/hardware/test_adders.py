@@ -5,6 +5,8 @@ Every family is checked against a pure-python golden model of its
 low bits, ETA-II must break the carry at segment boundaries, and so on.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +183,19 @@ class TestLowerOrAdderWide:
             assert out.dtype == np.int64
             assert np.array_equal(out, want)
             assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
+
+    @pytest.mark.parametrize("k", [0, 8])
+    def test_zero_d_operands_wrap_without_warnings(self, k):
+        """Two 0-d operands give the one-element result's word, without
+        NumPy's scalar overflow warning on the mod-2^64 wrap."""
+        adder = LowerOrAdder(60, k)
+        a, b = 2**63 - 1, 11
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            word = adder.add_signed(np.array(a), np.array(b))
+            want = adder.add_signed(np.array([a]), np.array([b]))
+        assert word.dtype == np.int64 and np.ndim(word) == 0
+        assert word == want[0]
 
 
 class TestEtaIIAdder:

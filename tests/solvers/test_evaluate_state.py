@@ -110,7 +110,8 @@ _variances = st.one_of(
 def test_gmm_state_is_transparent(weights, means, variances):
     x = np.array(weights + means + variances)
     state = assert_state_is_transparent(_GMM, x)
-    assert state["resp"].tobytes() == _GMM.responsibilities(x).tobytes()
+    # The state holds the (k, n) transpose of the (n, k) posterior.
+    assert state["resp"].T.tobytes() == _GMM.responsibilities(x).tobytes()
 
 
 # ----------------------------------------------------------------------
