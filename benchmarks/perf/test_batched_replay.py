@@ -183,10 +183,11 @@ def test_approx_matvec_jacobi240_b16(perf):
     """One replayed ``static:level2`` matvec of a 16-lane stack on the
     240x240 Jacobi system against 16 solo replayed ones, timed in
     alternation (check_bench's default 0.9 floor applies).  The
-    approximate adder declines every fused route, so both sides run the
-    tiled product fold (product, encode and tree levels one L2-sized
-    tile at a time): the lane stack must not lose to the loop it
-    replaces.  Words and per-lane ledgers are asserted equal before
+    approximate adder declines the fused product-reduce, so both sides
+    run the tiled product fold (product, encode and tree one L2-sized
+    tile at a time; LOA's error bound proves each tile's tree in range,
+    so the tile encodes in place and folds in closed form): the lane
+    stack must not lose to the loop it replaces.  Words and per-lane ledgers are asserted equal before
     timing; minor page faults per replayed stack call are recorded."""
     n, lanes = 240, 16
     matrix = 2.05 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)

@@ -3,7 +3,8 @@
 Times the fixed-point-resident chain (matvec feeding sub, the solvers'
 residual shape) and the in-place tree reduction against
 :class:`~repro.arith.reference.ReferenceEngine`, asserting bit-identical
-outputs and recording the wall-clock ratios.
+outputs and recording the wall-clock ratios.  Each ratio's two sides
+are timed in alternation (``perf.time_pair``).
 """
 
 import numpy as np
@@ -39,8 +40,7 @@ def test_resident_residual_chain(perf, engines):
         return legacy.sub(rhs, legacy.matvec(matrix, x))
 
     np.testing.assert_array_equal(chain_fast(), chain_legacy())
-    t_fast = perf.time(chain_fast, repeats=11)
-    t_legacy = perf.time(chain_legacy, repeats=11)
+    t_legacy, t_fast = perf.time_pair(chain_legacy, chain_fast, repeats=11)
     speedup = t_legacy / t_fast
     perf.record(
         "engine/residual_chain_200",
@@ -61,8 +61,9 @@ def test_tree_reduce_layout(perf, engines):
     np.testing.assert_array_equal(
         fast._reduce_words(q), legacy._reduce(q)
     )
-    t_fast = perf.time(lambda: fast._reduce_words(q), repeats=15)
-    t_legacy = perf.time(lambda: legacy._reduce(q), repeats=15)
+    t_legacy, t_fast = perf.time_pair(
+        lambda: legacy._reduce(q), lambda: fast._reduce_words(q), repeats=15
+    )
     speedup = t_legacy / t_fast
     perf.record(
         "engine/tree_reduce_1001x64",

@@ -169,13 +169,16 @@ def test_replay_pagerank100k(perf, reference_run):
 def test_approx_matvec_pagerank100k(perf):
     """The approximate-mode CSR matvec (gated at >= 2x by check_bench).
 
-    ``level2``'s adder is approximate, so no in-range proof fuses this
-    matvec: every characterization probe, capture and replay of an
+    ``level2``'s adder is approximate, so the fused product-reduce does
+    not apply: every characterization probe, capture and replay of an
     approximate mode runs the level-ordered reduce (per tree level, one
-    gather and the two contiguous halves added in L2-sized adder calls
-    across all rows).  One interpreted ``ApproxEngine`` call against one
-    reference engine call on the 100k-node web, after words and ledger
-    parity, timed in alternation."""
+    gather and the two contiguous halves added in L2-sized calls across
+    all rows).  Replay adds the levels LOA's error bound proves through
+    the adder's in-range kernel; the interpreted call timed here keeps
+    the adder call, its level bounds carried from the product bound.
+    One interpreted ``ApproxEngine`` call against one reference engine
+    call on the 100k-node web, after words and ledger parity, timed in
+    alternation."""
     app = PageRank.random_web_csr(n_nodes=100_000, seed=11, out_degree=8.0)
     framework = ApproxIt(app)
     sp = app._link

@@ -39,6 +39,8 @@ REQUIRED_ENTRIES = (
     "e2e/replay_jacobi240",
     "e2e/replay_cg64",
     "e2e/replay_lsq120",
+    "engine/residual_chain_200",
+    "engine/tree_reduce_1001x64",
     "sparse/jacobi240_vs_dense",
     "sparse/replay_pagerank100k",
     "sparse/approx_matvec_pagerank100k",
@@ -64,10 +66,13 @@ REQUIRED_ENTRIES = (
 #: share the exact control loop by the parity contract.  The jacobi240
 #: sparse/dense pair promises that routing the same system through CSR
 #: instead of the dense resident path is a strict win, not a wash.
-#: The approximate-mode CSR matvec (no fusion proof applies) must run at
-#: least 3x the reference engine's per-length trees: each tree level is
-#: one gather whose two contiguous halves are added across all rows in
-#: L2-sized adder calls, into buffers the row plan reuses.
+#: The approximate-mode CSR matvec is timed interpreted, where no fused
+#: kernel runs (replay adds the levels LOA's error bound proves through
+#: its in-range kernel instead): it must run at least 3x the reference
+#: engine's per-length trees.  Each tree level is one gather whose two
+#: contiguous halves are added across all rows in L2-sized adder calls,
+#: into buffers the row plan reuses, its bounds carried from the
+#: product bound instead of rescanned.
 ENTRY_FLOORS = {
     "e2e/replay_jacobi80": 2.0,
     "e2e/replay_jacobi240": 5.0,

@@ -147,9 +147,10 @@ class SparseReductionPlan:
     Attributes:
         n_rows / nnz: number of matrix rows (empty rows included) and
             stored entries.
-        levels: per tree level, ``(gather, H, rows, pos)``: the ``intp``
-            map into the previous buffer, the pair count, and the rows
-            whose sum the level finishes with its ``buf`` positions.
+        levels: per tree level, ``(gather, H, rows, pos, longest)``: the
+            ``intp`` map into the previous buffer, the pair count, the
+            rows whose sum the level finishes with their ``buf``
+            positions, and the most words a row has left to fold.
         single_rows / single_pos: one-entry rows and their CSR
             positions, read out directly; empty rows emit the zero word.
         counts: add counts in ledger order — nnz lengths ascending,
@@ -193,9 +194,10 @@ class SparseReductionPlan:
             gather[2 * n_pairs :] = last[odd]
             start = ends - half
             last = np.where(odd, 2 * n_pairs + np.cumsum(odd) - 1, ends - 1)
+            longest = int(cur.max())
             cur = cur - half
             done = cur == 1
-            levels.append((gather, n_pairs, rows[done], start[done]))
+            levels.append((gather, n_pairs, rows[done], start[done], longest))
             rows, start, cur, last = rows[~done], start[~done], cur[~done], last[~done]
         self.levels = tuple(levels)
 
@@ -532,7 +534,7 @@ class EnergyLedger:
         return self.energy - earlier.energy
 
 
-def _saturating_add(engine, qa, qb, bounds_a=None, bounds_b=None) -> np.ndarray:
+def _saturating_add(engine, qa, qb, bounds_a=None, bounds_b=None, out=None, proved=False):
     """One adder call behind the saturating output stage, charge-free.
 
     The adder wraps; when the *true* sum leaves the representable
@@ -544,76 +546,138 @@ def _saturating_add(engine, qa, qb, bounds_a=None, bounds_b=None) -> np.ndarray:
     so a conservative precheck (one envelope over a whole lane stack)
     can only make the recompute run more often, never change a word.
     Every engine add, tree level and CSR fold chunk ends here.
+
+    Returns ``(words, bounds)``.  ``bounds`` envelopes the words when
+    the operand bounds pin them down, so a fold carries it to its next
+    level instead of rescanning: for the exact adder it is the clipped
+    true-sum interval; for an adder with a declared
+    :attr:`~repro.hardware.adders.base.AdderModel.error_bound` ``E`` it
+    is that interval widened by ``E`` on both sides, when the widened
+    interval fits the word — neither the true sum nor the adder's word
+    can then leave it, so nothing wraps or clamps.  Otherwise ``bounds``
+    is ``None``.  ``proved`` says the caller has already shown that
+    (:func:`_tree_proved`) and skips the precheck.  Replay passes
+    ``out``, a buffer it owns (possibly ``qa`` itself): a proved add of
+    an approximate adder then runs the adder's in-range kernel into it
+    (:meth:`~repro.backends.base.KernelBackend.add_words_inrange`).
     """
-    out = engine.backend.add_signed(engine.mode.adder, qa, qb)
-    if engine.fmt.overflow != "saturate":
-        return out
-    if bounds_a is None:
-        if not qa.size:
-            return out
-        bounds_a = (int(qa.min()), int(qa.max()))
-    if bounds_b is None:
-        if not qb.size:
-            return out
-        bounds_b = (int(qb.min()), int(qb.max()))
-    lo, hi = engine._signed_lo, engine._signed_hi
-    if bounds_a[0] + bounds_b[0] < lo or bounds_a[1] + bounds_b[1] > hi:
+    adder = engine.mode.adder
+    bounds = clamp = None
+    if not proved and engine.fmt.overflow == "saturate" and qa.size and qb.size:
+        if bounds_a is None:
+            bounds_a = (int(qa.min()), int(qa.max()))
+        if bounds_b is None:
+            bounds_b = (int(qb.min()), int(qb.max()))
+        lo, hi = bounds_a[0] + bounds_b[0], bounds_a[1] + bounds_b[1]
+        lo_w, hi_w = engine._signed_lo, engine._signed_hi
+        err = adder.error_bound
+        if adder.is_exact:
+            bounds = (max(lo, lo_w), min(hi, hi_w))
+        elif err is not None and lo - err >= lo_w and hi + err <= hi_w:
+            bounds, proved = (lo - err, hi + err), True
+        clamp = lo < lo_w or hi > hi_w
+    if proved and out is not None:
+        return engine.backend.add_words_inrange(qa, qb, adder, out=out), bounds
+    words = engine.backend.add_signed(adder, qa, qb)
+    if clamp:
+        lo_w, hi_w = engine._signed_lo, engine._signed_hi
         true = np.add(qa, qb, dtype=np.int64)
-        overflowed = (true < lo) | (true > hi)
+        overflowed = (true < lo_w) | (true > hi_w)
         if np.any(overflowed):
-            out = np.where(overflowed, np.clip(true, lo, hi), out)
-    return out
+            words = np.where(overflowed, np.clip(true, lo_w, hi_w), words)
+    return words, bounds
 
 
-def _fold(engine, q: np.ndarray) -> np.ndarray:
+def _tree_proved(engine, m: int, bounds) -> bool:
+    """Whether a balanced tree over ``m`` words within ``bounds`` keeps
+    every add in the word: each node over ``j <= m`` words lies within
+    ``j·max(hi, 0) + (j-1)·E`` and ``j·min(lo, 0) - (j-1)·E``, ``E``
+    the approximate adder's declared error bound, so neither its true
+    sum nor its adder word leaves the word when the ``j = m`` ends fit.
+    Exact adders and adders that declare no bound prove nothing here.
+    """
+    adder = engine.mode.adder
+    err = adder.error_bound
+    if adder.is_exact or err is None:
+        return False
+    return (
+        m * min(bounds[0], 0) - (m - 1) * err >= engine._signed_lo
+        and m * max(bounds[1], 0) + (m - 1) * err <= engine._signed_hi
+    )
+
+
+def _fold(
+    engine, q: np.ndarray, bounds=None, owned: bool = False, inrange: bool = False
+) -> np.ndarray:
     """Balanced-tree reduction of axis 0 down to one slice, charge-free.
 
     Walks :func:`~repro.hardware.bitops.reduction_levels` (the tree
     depends on the reduced length alone, so lane stacks fold alike),
     each level one :func:`_saturating_add` of ``cur[:half]`` and
-    ``cur[half:2*half]``, carrying odd tails through one buffer
-    allocated at the first (widest) odd level instead of a per-level
-    ``np.concatenate``.  One min/max bounds the first level's
-    precheck.  With an exact adder every level output equals the
-    clipped true sum, so interval arithmetic carries the bounds level
-    to level; approximate adders can emit any word and rescan.  Callers
-    charge ``half`` adds per reduced slot for each level.
+    ``cur[half:2*half]``.  One min/max of ``q`` (or the caller's
+    ``bounds`` on its words) bounds the first level.  Once
+    :func:`_tree_proved` holds for the words left — at the first level
+    when ``n·W + (n-1)·E`` fits the word, ``W`` bounding the words —
+    no level checks or scans again.  Until then each level hands its
+    output bounds to the next, and a level that could not bound its
+    words (an approximate adder whose widened interval leaves the word,
+    or one without a declared error bound) rescans them.
+
+    ``owned`` says the fold may overwrite ``q`` (a tile or a fresh
+    encode, never a resident's words): odd tails then carry inside it;
+    otherwise one buffer is allocated at the first level that needs
+    one.  ``inrange`` (replay) lets an approximate adder's in-range
+    kernels run instead of the adder call: once the tree proves, the
+    words left fold in closed form
+    (:meth:`~repro.backends.base.KernelBackend.reduce_inrange`), and a
+    level proved on its own adds into the lower half of the level's
+    buffer.  The exact adder keeps the adder call: replay fuses its
+    in-range trees whole before they get here (``_replay_reduce``).
+    Callers charge ``half`` adds per reduced slot for each level.
     """
     cur = q
     if cur.shape[0] <= 1:
         return cur[0]
-    bounds = None
-    if engine.fmt.overflow == "saturate" and cur.size:
+    if engine.fmt.overflow != "saturate":
+        bounds = None
+    elif bounds is None and cur.size:
         bounds = (int(cur.min()), int(cur.max()))
-    exact = engine.mode.adder.is_exact
-    lo_w, hi_w = engine._signed_lo, engine._signed_hi
     levels = bitops.reduction_levels(cur.shape[0])
     last = len(levels) - 1
-    buf = None
+    proved = False
+    buf = cur if owned else None
     for i, (half, odd) in enumerate(levels):
-        folded = _saturating_add(engine, cur[:half], cur[half : 2 * half], bounds, bounds)
+        if bounds is not None and not proved:
+            proved = _tree_proved(engine, cur.shape[0], bounds)
+            if proved and inrange:
+                words = cur if buf is not None else cur.copy()
+                return engine.backend.reduce_inrange(words, 0, engine.mode.adder)
+        if inrange and buf is None:
+            buf = np.empty((half + odd,) + cur.shape[1:], dtype=np.int64)
+        target = buf[:half] if inrange else None
+        folded, carried = _saturating_add(
+            engine, cur[:half], cur[half : 2 * half], bounds, bounds, target, proved
+        )
         if odd:
             if buf is None:
                 buf = np.empty((half + 1,) + cur.shape[1:], dtype=np.int64)
-            nxt = buf[: half + 1]
-            # Tail first: buf may alias cur after an earlier odd level,
-            # and index 2*half sits above every write here.
-            nxt[half] = cur[2 * half]
-            nxt[:half] = folded
-            cur = nxt
+            # After the add: with buf = cur, index half held the second
+            # half's first word; 2*half sits above every write here.
+            buf[half] = cur[2 * half]
+            if folded is not target:
+                buf[:half] = folded
+            cur = buf[: half + 1]
         else:
             cur = folded
-        if bounds is not None and i < last:
-            if exact:
-                lo = max(bounds[0] + bounds[0], lo_w)
-                hi = min(bounds[1] + bounds[1], hi_w)
-                if odd:
-                    # The carried tail word keeps last level's bounds.
-                    lo = min(lo, bounds[0])
-                    hi = max(hi, bounds[1])
-                bounds = (lo, hi)
-            else:
+        buf = cur
+        if bounds is not None and not proved and i < last:
+            if carried is None:
                 bounds = (int(cur.min()), int(cur.max()))
+            elif odd:
+                # The carried tail word keeps last level's bounds.
+                bounds = (min(carried[0], bounds[0]), max(carried[1], bounds[1]))
+            else:
+                bounds = carried
     return cur[0]
 
 
@@ -645,7 +709,7 @@ def _product_operands(c: np.ndarray, v: np.ndarray):
 
 
 def _product_fold(
-    engine, c, v, fold=_fold, trusted: bool = False, bufs: dict | None = None
+    engine, c, v, fold=_fold, bound: int | None = None, bufs: dict | None = None
 ) -> np.ndarray:
     """``fold_i encode(c[i, :] * v[..., i])`` as ``(..., m)`` words,
     charge-free: the dense ``matvec`` (``c`` the transposed matrix) and
@@ -658,16 +722,21 @@ def _product_fold(
     output word's tree depends on ``n`` alone and the adder and its
     output stage are elementwise, so the words equal one fold of the
     whole block, whatever the tiles.  ``fold`` reduces a tile's axis 0
-    (:func:`_fold`, or replay's in-range route); ``trusted`` skips the
-    encode's finiteness scan, which the caller proved for the block.
-    ``bufs`` (a replay step's scratch) keeps the float product tile
-    across calls, grown to the largest tile the step has met.  An
-    empty reduced axis gives the zero word.
+    as ``fold(engine, words, bounds, True)``, the words its own
+    (:func:`_fold`, or replay's route).  ``bound`` (replay) is a proved
+    ``W >= |word|`` for every encoded product; it skips the encode's
+    finiteness scan, and when it fits the word the encode's clip is a
+    no-op too: each tile is then scaled, rounded and cast in place, in
+    its own float buffer read as ``int64``, and folds from bounds
+    ``(-W, W)`` without a scan.  ``bufs`` (a replay step's scratch)
+    keeps that tile across calls, grown to the largest tile the step
+    has met.  An empty reduced axis gives the zero word.
     """
     n, m = c.shape
     shape = v.shape[:-1] + (m,)
+    fmt = engine.fmt
     if n == 0:
-        return engine.fmt.encode(np.zeros(shape))
+        return fmt.encode(np.zeros(shape))
     outer, inner, swapped = _product_operands(c, v)
     A, B = outer.shape[1], inner.shape[1]
     bt = max(1, min(B, _TILE_WORDS // n))
@@ -679,13 +748,33 @@ def _product_fold(
         buf = np.empty(size)
         if bufs is not None:
             bufs["tile"] = buf
+    inplace = bound is not None and bound <= engine._signed_hi
+    bounds = (-bound, bound) if inplace else None
+    if inplace:
+        # Scale the small varying block instead of every product: the
+        # power-of-two multiply is exact, so fl(c·(v·scale)) equals
+        # fl(c·v)·scale, but where c·v underflows, and there both round
+        # to the zero word.
+        if swapped:
+            inner = inner * fmt.scale
+        else:
+            outer = outer * fmt.scale
     for a0 in range(0, A, at):
         a1 = min(a0 + at, A)
         for b0 in range(0, B, bt):
             b1 = min(b0 + bt, B)
-            prod = buf[: n * (a1 - a0) * (b1 - b0)].reshape(n, a1 - a0, b1 - b0)
+            tile = buf[: n * (a1 - a0) * (b1 - b0)]
+            prod = tile.reshape(n, a1 - a0, b1 - b0)
             np.multiply(outer[:, a0:a1, None], inner[:, None, b0:b1], out=prod)
-            out[a0:a1, b0:b1] = fold(engine, engine.fmt.encode(prod, assume_finite=trusted))
+            if inplace:
+                # encode's float ops without its clip; a 1-D copyto
+                # casts in place, where a 3-D one would copy the tile.
+                np.rint(tile, out=tile)
+                np.copyto(tile.view(np.int64), tile, casting="unsafe")
+                words = tile.view(np.int64).reshape(prod.shape)
+            else:
+                words = fmt.encode(prod, assume_finite=bound is not None)
+            out[a0:a1, b0:b1] = fold(engine, words, bounds, True)
     return (out.T if swapped else out).reshape(shape)
 
 
@@ -700,18 +789,26 @@ def _charge_folds(charge, mode, n: int, per_fold: int, folds: int = 1) -> None:
             charge(mode.name, half * per_fold, mode.energy_per_add)
 
 
-def _reduce_csr_rows(engine, plan: SparseReductionPlan, q: np.ndarray) -> np.ndarray:
+def _reduce_csr_rows(
+    engine, plan: SparseReductionPlan, q: np.ndarray, bounds=None, inrange: bool = False
+) -> np.ndarray:
     """Reduce every CSR row's tree, level by level, in L2-sized chunks.
 
     ``q`` holds the encoded products at their CSR positions on its last
-    axis (``(nnz,)`` solo, ``(B, nnz)`` lane-stacked).  Each level is
-    one gather, then ``buf[:H] += buf[H:2H]`` through
-    :func:`_saturating_add` in :data:`_FOLD_CHUNK`-word calls, then the
-    finished rows' read-out.  The adder and the saturating output stage
-    are elementwise, so the words equal each row's own tree walk
-    whichever pairs share a call.  Charges nothing: interpreted engines
-    charge ``plan.counts``, replay steps their recorded charges.
-    Returns ``(..., n_rows)``.
+    axis (``(nnz,)`` solo, ``(B, nnz)`` lane-stacked), ``bounds`` their
+    range when the caller knows it.  Each level is one gather, then
+    ``buf[:H] += buf[H:2H]`` through :func:`_saturating_add` in
+    :data:`_FOLD_CHUNK`-word calls, then the finished rows' read-out.
+    The adder and the saturating output stage are elementwise, so the
+    words equal each row's own tree walk whichever pairs share a call.
+    The bounds and the tree proof work as in :func:`_fold`, with the
+    longest row's words left standing for ``n``: a level's bounds carry
+    to the next, joined with the odd tails' (which keep theirs), and a
+    level that could not bound its sums has the next one rescan its
+    gathered words.  ``inrange`` (replay) lets a proved level of an
+    approximate adder add in place.  Charges nothing: interpreted
+    engines charge ``plan.counts``, replay steps their recorded
+    charges.  Returns ``(..., n_rows)``.
     """
     lead = q.shape[:-1]
     lanes = lead[0] if lead else 1
@@ -719,35 +816,64 @@ def _reduce_csr_rows(engine, plan: SparseReductionPlan, q: np.ndarray) -> np.nda
     out = np.zeros(lead + (plan.n_rows,), dtype=np.int64)
     out[..., plan.single_rows] = q[..., plan.single_pos]
     bufs = plan.scratch(lanes)[1:]
-    for level, (gather, half, rows, pos) in enumerate(plan.levels):
+    saturate = engine.fmt.overflow == "saturate"
+    if not saturate:
+        bounds = None
+    proved = False
+    for level, (gather, half, rows, pos, longest) in enumerate(plan.levels):
         buf = bufs[level % 2][: lanes * gather.size].reshape(lead + gather.shape)
         # mode="clip" (a no-op on valid maps) lets take write out unbuffered.
         q = np.take(q, gather, axis=-1, out=buf, mode="clip")
+        if saturate and not proved:
+            if bounds is None and q.size:
+                bounds = (int(q.min()), int(q.max()))
+            proved = bounds is not None and _tree_proved(engine, longest, bounds)
+        carried = None
         for c in range(0, half, step):
             e = min(c + step, half)
-            q[..., c:e] = _saturating_add(engine, q[..., c:e], q[..., half + c : half + e])
+            a = q[..., c:e]
+            b = q[..., half + c : half + e]
+            words, carried = _saturating_add(
+                engine, a, b, bounds, bounds, a if inrange else None, proved
+            )
+            if words is not a:
+                a[...] = words
+        if not proved:
+            # The odd tails keep their words, so their bounds join.
+            if carried is None:
+                bounds = None
+            else:
+                bounds = (min(carried[0], bounds[0]), max(carried[1], bounds[1]))
         out[..., rows] = q[..., pos]
     return out
 
 
-def _csr_product_words(engine, sp: SparseResidentMatrix, x: np.ndarray) -> np.ndarray:
-    """The encoded products ``sp.data * x[..., sp.indices]``, CSR order.
+def _csr_product_words(engine, sp: SparseResidentMatrix, x: np.ndarray):
+    """The encoded products ``sp.data * x[..., sp.indices]``, CSR order,
+    and their bounds.
 
     ``x`` is ``(n,)`` solo or ``(B, n)`` lane-stacked.  An ``O(n)`` scan
     of ``x`` replaces the encode's ``O(nnz)`` finiteness scan: a
     non-finite ``x`` raises the checked encode's error, and a finite
     bound ``abs_max * max|x|`` proves every product finite (global for
     a lane stack, which is sound per lane).  The words are identical
-    with or without the trust.  Products and encode run in
-    :data:`_FOLD_CHUNK`-word blocks, so no nnz-sized temporary is
-    allocated, into the row plan's reused words buffer: the result is a
-    view of it, valid until the next call on that plan.
+    with or without the trust.  The same bound, scaled and rounded,
+    is ``W >= |word|`` (``fl`` and ``rint`` are monotone); the bounds
+    are ``(-W, W)`` when ``W`` fits the word, else ``None``.  Products
+    and encode run in :data:`_FOLD_CHUNK`-word blocks, so no nnz-sized
+    temporary is allocated, into the row plan's reused words buffer:
+    the result is a view of it, valid until the next call on that plan.
     """
-    trusted = True
+    trusted, bounds = True, None
     if x.size:
         if not np.all(np.isfinite(x)):
             raise ValueError("cannot encode non-finite values into fixed point")
-        trusted = bool(np.isfinite(sp.abs_max * float(np.abs(x).max())))
+        peak = sp.abs_max * float(np.abs(x).max())
+        trusted = bool(np.isfinite(peak))
+        scaled = peak * engine.fmt.scale
+        w = int(np.rint(scaled)) if np.isfinite(scaled) else None
+        if w is not None and w <= engine._signed_hi:
+            bounds = (-w, w)
     lanes = x.shape[0] if x.ndim == 2 else 1
     words = sp.row_plan().scratch(lanes)[0][: lanes * sp.nnz].reshape(x.shape[:-1] + (sp.nnz,))
     step = max(1, _FOLD_CHUNK // lanes)
@@ -755,7 +881,7 @@ def _csr_product_words(engine, sp: SparseResidentMatrix, x: np.ndarray) -> np.nd
         products = np.take(x, sp.indices[c : c + step], axis=-1)
         products *= sp.data[c : c + step]
         words[..., c : c + step] = engine.fmt.encode(products, assume_finite=trusted)
-    return words
+    return words, bounds
 
 
 class ApproxEngine:
@@ -836,7 +962,7 @@ class ApproxEngine:
         """Add fixed-point words through the mode's adder and the
         saturating output stage (:func:`_saturating_add`), charging
         one addition per output word."""
-        out = _saturating_add(self, qa, qb, bounds_a, bounds_b)
+        out, _ = _saturating_add(self, qa, qb, bounds_a, bounds_b)
         if qa.shape == qb.shape:
             n = int(qa.size)
         else:
@@ -951,7 +1077,7 @@ class ApproxEngine:
         touching the adder.
         """
         plan = sp.row_plan()
-        out = _reduce_csr_rows(self, plan, _csr_product_words(self, sp, vec))
+        out = _reduce_csr_rows(self, plan, *_csr_product_words(self, sp, vec))
         for n in plan.counts:
             self._charge(self.mode.name, n, self.mode.energy_per_add)
         return out
@@ -1417,7 +1543,7 @@ class BatchedEngine:
         ``size // lanes`` adds to every selected lane."""
         lanes = qa.shape[0]
         self._check_lanes(lanes)
-        out = _saturating_add(self, qa, qb, bounds_a, bounds_b)
+        out, _ = _saturating_add(self, qa, qb, bounds_a, bounds_b)
         n_per_lane = int(qa.size) // lanes
         self._charge_lanes(
             self.mode.name, n_per_lane, self.mode.energy_per_add
@@ -1549,7 +1675,7 @@ class BatchedEngine:
         selected lane — as a solo engine on that lane."""
         self._check_lanes(xs.shape[0])
         plan = sp.row_plan()
-        out = _reduce_csr_rows(self, plan, _csr_product_words(self, sp, xs))
+        out = _reduce_csr_rows(self, plan, *_csr_product_words(self, sp, xs))
         for n in plan.counts:
             self._charge_lanes(self.mode.name, n, self.mode.energy_per_add)
         return out

@@ -296,31 +296,35 @@ def _replay_add_words(engine, qa, qb, bounds_a, bounds_b):
             and bounds_a[1] + bounds_b[1] <= engine._signed_hi
         ):
             return engine.backend.add_words_inrange(qa, qb)
-    return _saturating_add(engine, qa, qb, bounds_a, bounds_b)
+    return _saturating_add(engine, qa, qb, bounds_a, bounds_b)[0]
 
 
-def _replay_reduce(engine, q):
+def _replay_reduce(engine, q, bounds=None, owned=False):
     """Tree-reduce axis 0, bit-identical to ``_reduce_words`` sans
     charges.
 
-    Fast route: exact adder, saturating format, and one O(1) proof that
+    Exact adder: with a saturating format and one O(1) proof that
     *every* partial sum stays in the word — each intermediate is a sum
     of at most ``n`` of the inputs, so ``n * min(min_word, 0) >= lo``
-    and ``n * max(max_word, 0) <= hi`` bound them all — fuses the whole
-    tree into a single ``np.add.reduce``: in-range exact integer
+    and ``n * max(max_word, 0) <= hi`` bound them all — the whole tree
+    fuses into a single ``np.add.reduce``: in-range exact integer
     addition is associative, so any summation order yields
     bit-identical words.  Anything else walks the interpreted fold
     (:func:`~repro.arith.engine._fold`): same adder calls, same
-    per-level bounds carry, same clamps.
+    per-level bounds carry, same clamps.  An approximate adder walks it
+    from the caller's ``bounds`` on the words with its in-range kernels
+    allowed: a tree its error bound proves whole folds in closed form,
+    and a level proved on its own adds without the adder call, both in
+    place when the caller ``owned`` the words.
     """
+    if not engine.mode.adder.is_exact:
+        return _fold(engine, q, bounds, owned, inrange=True)
     n = q.shape[0]
-    if n > 1 and q.size and engine.mode.adder.is_exact and engine.fmt.overflow == "saturate":
-        if (
-            n * min(int(q.min()), 0) >= engine._signed_lo
-            and n * max(int(q.max()), 0) <= engine._signed_hi
-        ):
+    if n > 1 and q.size and engine.fmt.overflow == "saturate":
+        lo, hi = bounds = (int(q.min()), int(q.max()))
+        if n * min(lo, 0) >= engine._signed_lo and n * max(hi, 0) <= engine._signed_hi:
             return engine.backend.reduce_inrange(q)
-    return _fold(engine, q)
+    return _fold(engine, q, bounds, owned)
 
 
 # ----------------------------------------------------------------------
@@ -482,12 +486,15 @@ class _SumStep(_Step):
     the active group; the tree walk depends on the leading dim alone.
     """
 
-    __slots__ = ("res_x", "lead", "scalar", "axis")
+    __slots__ = ("res_x", "owned", "lead", "scalar", "axis")
 
     def __init__(self, engine, op, slots, lanes):
         (x,) = op.args
         super().__init__("sum", op)
-        if isinstance(x, _residents(lanes)):
+        # A fresh encode is the fold's own to overwrite; a resident's
+        # words are not.
+        self.owned = not isinstance(x, _residents(lanes))
+        if not self.owned:
             check = _resident_check(engine, x)
             self.res_x = lambda op: check(op).words
         else:
@@ -516,7 +523,7 @@ class _SumStep(_Step):
             if self.scalar:
                 return zeros if self.lead else float(zeros)
             return engine._emit(engine.fmt.encode(zeros), self.resident)
-        reduced = _replay_reduce(engine, np.moveaxis(q, axis, 0))
+        reduced = _replay_reduce(engine, np.moveaxis(q, axis, 0), owned=self.owned)
         if self.scalar:
             out = engine.fmt.decode(reduced)
             return out if self.lead else float(out)
@@ -545,65 +552,56 @@ class _DotStep(_Step):
         q = engine.fmt.encode(fa * fb)
         if not q.size:
             return 0.0
-        return float(engine.fmt.decode(_replay_reduce(engine, q)))
+        return float(engine.fmt.decode(_replay_reduce(engine, q, owned=True)))
 
 
-def _proved_finite(abs_max, varying) -> bool:
-    """Whether a const × varying product block may skip the encode's
-    finiteness scan.
+def _product_bound(engine, abs_max, varying) -> int | None:
+    """``W``, bounding the magnitude of every encoded word of a const ×
+    varying product block, or ``None`` when no finite bound exists.
 
     With a compile-proven-finite constant, one O(n) scan of the varying
-    operand replaces the O(rows × cols) product scan.  An interpreted
-    call is a checked encode, so the bound only *upgrades*
-    provably-finite calls and every other case keeps the checked encode
-    unchanged.  (A CSR operand's products encode through
-    :func:`~repro.arith.engine._csr_product_words`, as interpreted.)
+    operand bounds the O(rows × cols) products: ``P = fl(abs_max *
+    max|varying|)`` bounds every float product (``fl`` is monotone),
+    the power-of-two ``scale`` multiply is exact and ``rint`` is
+    monotone, so ``W = rint(P * scale)`` bounds every word.  A finite
+    ``W`` proves the products finite (a non-finite ``varying`` makes
+    ``P`` NaN or infinite), so the encode may skip its finiteness scan;
+    an interpreted call is a checked encode, so the bound only
+    *upgrades* provably-finite calls.  (A CSR operand's products encode
+    through :func:`~repro.arith.engine._csr_product_words`, which bounds
+    them alike.)
     """
-    return (
-        abs_max is not None
-        and varying.size > 0
-        and bool(np.all(np.isfinite(varying)))
-        and bool(np.isfinite(abs_max * float(np.abs(varying).max())))
-    )
+    if abs_max is None or not varying.size:
+        return None
+    peak = abs_max * float(np.abs(varying).max()) * engine.fmt.scale
+    return int(np.rint(peak)) if np.isfinite(peak) else None
 
 
 def _fused_product_ok(engine, abs_max, varying, n) -> bool:
     """Whether a product-encode-reduce may run fully fused (clip-free
     single-pass) through :meth:`KernelBackend.product_reduce_words`.
 
-    The proof is one O(len(varying)) scan:  with ``P = fl(abs_max *
-    max|varying|)`` every element of the float product is bounded by
-    ``P`` (real-product ordering survives rounding — ``fl`` is
-    monotone), multiplying by the power-of-two ``scale`` is exact, and
-    ``rint`` is monotone, so ``W = rint(P * scale)`` bounds every
-    encoded word's magnitude.  ``W <= hi`` proves the encode clip a
-    no-op; ``n * W <= hi`` (exact Python-int arithmetic — a float
-    product could round below the true value) bounds every partial sum
-    of the ``n``-term reduction, making the exact integer fold
-    associative and hence bit-identical to the reference clip + tree.
-    ``n * W < 2**53`` additionally keeps every partial sum (under any
-    association) in float64's integer-exact range, licensing the
-    kernel to fold the integer-valued *float* buffer directly —
-    automatic for word widths up to 53 bits, checked so wider formats
-    fall back rather than round.  The proof covers the call it is made
-    for, whatever the recording saw.
-    Any failure — including a non-finite ``varying``, where the
-    unfused path reproduces the interpreted raise/checked-encode
-    behavior exactly — falls back to the unfused replay.
+    Exact adder and saturating format only.  The proof is one
+    O(len(varying)) scan, :func:`_product_bound`'s ``W``.  ``W <= hi``
+    proves the encode clip a no-op; ``n * W <= hi`` (exact Python-int
+    arithmetic — a float product could round below the true value)
+    bounds every partial sum of the ``n``-term reduction, making the
+    exact integer fold associative and hence bit-identical to the
+    reference clip + tree.  ``n * W < 2**53`` additionally keeps every
+    partial sum (under any association) in float64's integer-exact
+    range, licensing the kernel to fold the integer-valued *float*
+    buffer directly — automatic for word widths up to 53 bits, checked
+    so wider formats fall back rather than round.  The proof covers
+    the call it is made for, whatever the recording saw.  Any failure
+    — including a non-finite ``varying``, where the unfused path
+    reproduces the interpreted raise/checked-encode behavior exactly —
+    falls back to the unfused replay.
     """
-    if (
-        abs_max is None
-        or not varying.size
-        or not engine.mode.adder.is_exact
-        or engine.fmt.overflow != "saturate"
-    ):
+    if not engine.mode.adder.is_exact or engine.fmt.overflow != "saturate":
         return False
-    peak = abs_max * float(np.abs(varying).max()) * engine.fmt.scale
-    if not np.isfinite(peak):
-        return False
-    w = int(np.rint(peak))
+    w = _product_bound(engine, abs_max, varying)
     hi = engine._signed_hi
-    return w <= hi and n * w <= hi and n * w < (1 << 53)
+    return w is not None and w <= hi and n * w <= hi and n * w < (1 << 53)
 
 
 class _ProductFoldStep(_Step):
@@ -623,9 +621,11 @@ class _ProductFoldStep(_Step):
     ones (a wide lane stack) reduce axis 0 in the tiles' layout, adding
     whole ``G·m`` rows.  Otherwise the block folds tile by tile through
     the interpreted engines' own
-    :func:`~repro.arith.engine._product_fold`, over the in-range
-    :func:`_replay_reduce` and an encode trusted when
-    :func:`_proved_finite` holds.
+    :func:`~repro.arith.engine._product_fold` over
+    :func:`_replay_reduce`, given :func:`_product_bound`'s ``W``: a
+    tile then encodes in place when ``W`` fits the word, and an
+    approximate adder's tree folds in closed form when ``n·W + (n-1)·E``
+    does too, ``E`` its error bound.
     """
 
     __slots__ = ("res_c", "res_v", "matvec", "flat", "bufs")
@@ -659,8 +659,8 @@ class _ProductFoldStep(_Step):
                 words = words.T if swapped else words
             words = words.reshape(v.shape[:-1] + c.shape[1:])
         else:
-            trusted = _proved_finite(abs_max, v)
-            words = _product_fold(engine, c, v, _replay_reduce, trusted, self.bufs)
+            bound = _product_bound(engine, abs_max, v)
+            words = _product_fold(engine, c, v, _replay_reduce, bound, self.bufs)
         return engine._emit(words, self.resident)
 
 
@@ -716,7 +716,9 @@ class _SparseMatvecStep(_Step):
                 sp.data, sp.indices, sp.indptr, vec, engine.fmt.scale, sp._kernel_bufs
             )
             return engine._emit(out, self.resident)
-        out = _reduce_csr_rows(engine, sp.row_plan(), _csr_product_words(engine, sp, vec))
+        out = _reduce_csr_rows(
+            engine, sp.row_plan(), *_csr_product_words(engine, sp, vec), inrange=True
+        )
         return engine._emit(out, self.resident)
 
 

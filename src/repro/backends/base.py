@@ -33,9 +33,10 @@ class KernelBackend:
       :meth:`product_reduce_words`, :meth:`csr_matvec_words`,
       :meth:`scale_encode_inrange`) — called only by program replay
       *after* the caller has proved the operation cannot leave the
-      representable range (exact adder, saturating format, interval
-      proof), where the masked/clipped reference computation provably
-      collapses to plain integer arithmetic.  Each is bit-identical to
+      representable range (saturating format, interval proof, an exact
+      adder or one with a declared error bound), where the
+      masked/clipped reference computation provably collapses to plain
+      integer arithmetic.  Each is bit-identical to
       the reference under those preconditions.
     """
 
@@ -51,21 +52,39 @@ class KernelBackend:
     # ------------------------------------------------------------------
     # Fused in-range kernels (caller supplies the range proof)
     # ------------------------------------------------------------------
-    def add_words_inrange(self, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-        """Exact add of words whose sum provably stays in range: the
-        masked two's-complement add collapses to plain ``+``."""
-        return np.add(qa, qb)
+    def add_words_inrange(
+        self, qa: np.ndarray, qb: np.ndarray, adder=None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Add of words whose result provably stays in range.
+
+        Without ``adder`` the add is exact and the masked two's-complement
+        add collapses to plain ``+``.  With an approximate adder that
+        declares an :attr:`~repro.hardware.adders.base.AdderModel.error_bound`,
+        the caller has proved the true sum widened by that bound inside
+        the word, so the adder's ``add_inrange`` kernel gives its
+        ``add_signed`` word without the final wrap.  ``out`` (a buffer
+        the caller owns, possibly ``qa``) receives the words.
+        """
+        if adder is None:
+            return np.add(qa, qb, out=out)
+        return adder.add_inrange(qa, qb, out)
 
     def sub_words_inrange(self, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
         """Exact subtract under an in-range (and no-negation-clamp)
         proof: negation plus masked add collapses to plain ``-``."""
         return np.subtract(qa, qb)
 
-    def reduce_inrange(self, q: np.ndarray, axis: int = 0) -> np.ndarray:
+    def reduce_inrange(self, q: np.ndarray, axis: int = 0, adder=None) -> np.ndarray:
         """Tree-reduce along ``axis`` when every partial sum provably
-        stays in range: in-range exact integer addition is associative,
-        so a flat fold is bit-identical to the balanced tree."""
-        return np.add.reduce(q, axis=axis)
+        stays in range.  Without ``adder`` the adds are exact: in-range
+        integer addition is associative, so a flat fold is
+        bit-identical to the balanced tree.  With an approximate adder
+        whose error bound proved every add of the tree in range, its
+        ``fold_inrange`` gives the root of the tree in closed form, in
+        place: ``q`` is the caller's to overwrite."""
+        if adder is None:
+            return np.add.reduce(q, axis=axis)
+        return adder.fold_inrange(q, axis)
 
     def product_reduce_words(
         self,

@@ -86,6 +86,14 @@ class AdderModel(ABC):
         """Whether this model never deviates from the true sum."""
         return False
 
+    @property
+    def error_bound(self) -> int | None:
+        """The largest ``|add_signed(a, b) - (a + b)|`` over operands
+        whose sum and result both fit the word, known by construction;
+        ``None`` when the design declares none (the folds then rescan
+        their operands' range at every level)."""
+        return None
+
     # ------------------------------------------------------------------
     # Introspection helpers
     # ------------------------------------------------------------------

@@ -33,3 +33,7 @@ class ExactAdder(AdderModel):
     @property
     def is_exact(self) -> bool:
         return True
+
+    @property
+    def error_bound(self) -> int:
+        return 0

@@ -22,7 +22,12 @@ from repro.arith import engine as engine_mod
 from repro.arith.engine import ApproxEngine, BatchedEngine, _fold, _product_fold
 from repro.arith.fixed import FixedPointFormat
 from repro.arith.modes import default_mode_bank
-from repro.arith.program import BatchedProgramEngine, ProgramEngine
+from repro.arith.program import (
+    BatchedProgramEngine,
+    ProgramEngine,
+    _product_bound,
+    _replay_reduce,
+)
 from repro.arith.reference import ReferenceEngine
 
 BANK = default_mode_bank(32)
@@ -148,22 +153,28 @@ def test_tile_edges_match_reference(kind, n, m, block, tile, magnitude):
 def test_tiles_cover_the_block_once(n, m, lead, tile, tiles, monkeypatch):
     """The tile walk visits every kept ``(a, b)`` pair once, in the
     layout that puts the longer kept axis innermost, and its words
-    equal one fold of the whole block."""
+    equal one fold of the whole block: on the interpreted route (a
+    checked encode per tile) and on replay's proved one, where a bound
+    ``W`` encodes each tile in place and its tree folds in closed form.
+    Both hand every tile to the fold they were given."""
     monkeypatch.setattr(engine_mod, "_TILE_WORDS", tile)
     engine = ApproxEngine(BANK.by_name("level3"), FMT)
     rng = np.random.default_rng(n + tile)
     c = rng.uniform(-9.0, 9.0, (n, m))
     v = rng.uniform(-9.0, 9.0, lead + (n,))
-    seen = []
-
-    def spy(eng, q):
-        seen.append(q.shape)
-        return _fold(eng, q)
-
-    words = _product_fold(engine, c, v, spy)
-    assert seen == tiles
     whole = _fold(engine, FMT.encode(np.moveaxis(v, -1, 0)[..., None] * c[:, None, :]))
-    np.testing.assert_array_equal(words, whole)
+    bound = _product_bound(engine, float(np.abs(c).max()), v)
+    assert bound <= engine._signed_hi  # the tiles take the in-place encode
+    for fold, proved in ((_fold, None), (_replay_reduce, bound)):
+        seen = []
+
+        def spy(eng, q, bounds, owned, fold=fold):
+            seen.append(q.shape)
+            return fold(eng, q, bounds, owned)
+
+        words = _product_fold(engine, c, v, spy, proved)
+        assert seen == tiles
+        np.testing.assert_array_equal(words, whole)
 
 
 def test_scratch_tile_grows_and_keeps_the_words(monkeypatch):

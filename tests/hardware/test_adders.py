@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import KERNELS
 from repro.hardware import bitops
 from repro.hardware.adders import (
     ADDER_FAMILIES,
@@ -23,10 +24,17 @@ from repro.hardware.adders import (
     TruncatedAdder,
     build_adder,
 )
+from repro.hardware.characterization import characterize_adder
 
 WIDTH = 8
 SPACE = np.arange(1 << WIDTH, dtype=np.int64)
 ALL_A, ALL_B = (x.ravel() for x in np.meshgrid(SPACE, SPACE, indexing="ij"))
+SIGNED_A, SIGNED_B = (x - (1 << (WIDTH - 1)) for x in (ALL_A, ALL_B))
+
+
+def _fit(words):
+    lo, hi = bitops.signed_range(WIDTH)
+    return (words >= lo) & (words <= hi)
 
 
 def golden_loa(a: int, b: int, width: int, k: int) -> int:
@@ -120,6 +128,60 @@ class TestLowerOrAdder:
 
     def test_critical_path_shrinks(self):
         assert LowerOrAdder(32, approx_bits=20).critical_path_cells() == 12
+
+    @pytest.mark.parametrize("k", range(WIDTH))
+    def test_declared_error_bound_is_reached_and_covers_the_wce(self, k):
+        """Exhaustive at width 8: ``error_bound`` is ``2**(k-1)``; every
+        signed pair whose true sum and adder word fit the word errs by
+        at most it, some pair by exactly it, and so does the
+        characterized worst case."""
+        adder = LowerOrAdder(WIDTH, approx_bits=k)
+        assert adder.error_bound == (1 << k) >> 1
+        a, b = SIGNED_A, SIGNED_B
+        word = adder.add_inrange(a, b)
+        err = np.abs(word - (a + b))[_fit(a + b) & _fit(word)]
+        assert int(err.max()) == adder.error_bound
+        assert characterize_adder(adder).worst_case_error == adder.error_bound
+
+    @pytest.mark.parametrize("k", range(WIDTH))
+    def test_inrange_kernel_equals_add_signed_where_it_fits(self, k):
+        """The five-pass kernel is ``add_signed`` without the wrap: equal
+        on every pair whose true sum and result both fit the word, never
+        further than the bound from the true sum, in place into its
+        first operand too, and reached through the kernel set."""
+        adder = LowerOrAdder(WIDTH, approx_bits=k)
+        a, b = SIGNED_A, SIGNED_B
+        word = adder.add_inrange(a, b)
+        fits = _fit(a + b) & _fit(word)
+        assert np.array_equal(word[fits], adder.add_signed(a, b)[fits])
+        assert int(np.abs(word - (a + b)).max()) == adder.error_bound
+        into = a.copy()
+        assert adder.add_inrange(into, b, into) is into
+        assert np.array_equal(into, word)
+        assert np.array_equal(KERNELS.add_words_inrange(a, b, adder), word)
+
+    @pytest.mark.parametrize("k", range(WIDTH))
+    def test_closed_form_fold_equals_the_tree_where_it_fits(self, k):
+        """``fold_inrange`` gives the root of the balanced tree of
+        ``add_signed`` adds whenever the tree's proof holds: ``n`` words
+        within ``±W`` with ``n·W + (n-1)·E`` inside the word."""
+        adder = LowerOrAdder(WIDTH, approx_bits=k)
+        lo, hi = bitops.signed_range(WIDTH)
+        rng = np.random.default_rng(k)
+        for n in range(1, 40):
+            bound = (hi - (n - 1) * adder.error_bound) // n
+            if bound < 0:
+                break
+            q = rng.integers(-bound, bound + 1, (n, 64))
+            q[:, 0] = bound
+            q[:, 1] = -bound
+            tree = q
+            while tree.shape[0] > 1:
+                half = tree.shape[0] // 2
+                folded = adder.add_signed(tree[:half], tree[half : 2 * half])
+                tree = np.concatenate([folded, tree[2 * half :]])
+            got = KERNELS.reduce_inrange(q.copy(), 0, adder)
+            assert np.array_equal(got, tree[0]), n
 
 
 @st.composite
